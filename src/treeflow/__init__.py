@@ -33,6 +33,7 @@ from .walk import (
     dirichlet_energy,
     export_paths_csv,
     generator_apply,
+    lockstep_ensemble,
     max_displacement,
     occupation_times,
     simulate,

@@ -1,7 +1,7 @@
 """Command line front end for the experiment harness.
 
 Usage: treeflow <experiment> [--config FILE] [--seed N] [--out DIR]
-                [--threads K] [--dump-paths]
+                [--dump-paths]
 
 Without --config the shipped default for the experiment runs.  The exit
 code is 0 exactly when every check record in the report passed.
@@ -24,8 +24,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file; defaults are shipped")
     parser.add_argument("--seed", type=int, help="override master_seed")
     parser.add_argument("--out", help="override output_dir")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for path simulation")
     parser.add_argument("--dump-paths", action="store_true",
                         help="write sampled paths as CSV where supported")
     return parser
@@ -53,8 +51,7 @@ def main(argv=None) -> int:
         print(f"treeflow: config error: {e}", file=sys.stderr)
         return 2
 
-    artifacts = run_experiment(config, write=True, threads=args.threads,
-                               dump_paths=args.dump_paths)
+    artifacts = run_experiment(config, write=True, dump_paths=args.dump_paths)
     suite = artifacts.suite
     for check_id, (ok, total) in sorted(suite.counts().items()):
         print(f"{check_id}: {ok}/{total} passed")

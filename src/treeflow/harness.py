@@ -5,7 +5,7 @@ reports: a verification suite that replays the library's closed forms and
 bounds against simulation and linear algebra on seeded instances, and
 convergence runs that compare walk laws across discretization levels of a
 common ambient space.  Everything downstream of (config, master_seed) is
-deterministic, including across thread counts, so reports are byte-stable.
+deterministic, so reports are byte-stable.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import math
 import os
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Optional
 
 import numpy as np
 from scipy import stats as sp_stats
@@ -61,6 +60,7 @@ from .walk import (
     batch_simulate,
     build_chain,
     export_paths_csv,
+    lockstep_ensemble,
     rng_from,
 )
 
@@ -288,102 +288,6 @@ def _diameter_pair(tree: RootedMetricTree):
     return a, b
 
 
-# ----------------------------------------------------- vectorized ensembles
-
-class _PaddedChain:
-    """Chain arrays padded to a rectangle for whole-ensemble stepping."""
-
-    def __init__(self, chain: WalkChain):
-        n = chain.n_states
-        width = max(len(a) for a in chain.nbr)
-        self.nbr = np.zeros((n, width), dtype=np.int64)
-        self.cum = np.ones((n, width), dtype=np.float64)
-        for i in range(n):
-            k = len(chain.nbr[i])
-            self.nbr[i, :k] = chain.nbr[i]
-            row = chain.cum_rates[i] / chain.exit_rate[i]
-            self.cum[i, :k] = row
-            self.cum[i, k - 1] = 1.0   # guard the top against rounding
-        self.exit = chain.exit_rate
-
-    def jump(self, states: np.ndarray, rng) -> np.ndarray:
-        u = rng.random(states.size)
-        idx = (u[:, None] >= self.cum[states]).sum(axis=1)
-        return self.nbr[states, idx]
-
-
-def _mc_hitting(chain: WalkChain, start: int, targets, seed, replicates: int,
-                occupy: Optional[int] = None, max_sweeps: int = 2_000_000):
-    """First-hit ensemble: times, absorbing endpoints, optional occupation.
-
-    Runs every replicate in lockstep with numpy; distributionally the same
-    walk as `simulate`, at ensemble speed.  Occupation, when requested, is
-    the total holding time spent at that one vertex before absorption.
-    """
-    rng = rng_from(seed)
-    pad = _PaddedChain(chain)
-    target_idx = np.zeros(chain.n_states, dtype=bool)
-    for v in targets:
-        target_idx[chain.index[int(v)]] = True
-    occ_state = chain.index[int(occupy)] if occupy is not None else -1
-    s0 = chain.index[int(start)]
-    state = np.full(replicates, s0, dtype=np.int64)
-    t = np.zeros(replicates)
-    occ = np.zeros(replicates)
-    end = np.full(replicates, -1, dtype=np.int64)
-    alive = ~target_idx[state]
-    end[~alive] = s0
-    sweeps = 0
-    while alive.any():
-        sweeps += 1
-        if sweeps > max_sweeps:
-            raise RuntimeError("hitting ensemble exceeded the sweep cap")
-        cur = state[alive]
-        dt = rng.exponential(size=cur.size) / pad.exit[cur]
-        t[alive] += dt
-        if occupy is not None:
-            occ[alive] += np.where(cur == occ_state, dt, 0.0)
-        nxt = pad.jump(cur, rng)
-        state[alive] = nxt
-        hit = target_idx[nxt]
-        hit_rows = np.flatnonzero(alive)[hit]
-        end[hit_rows] = nxt[hit]
-        alive[hit_rows] = False
-    endpoints = chain.states[end]
-    return t, endpoints, occ
-
-
-def _mc_exceedance(chain: WalkChain, start: int, eps: float, horizon: float,
-                   seed, replicates: int, max_sweeps: int = 2_000_000) -> float:
-    """Fraction of walks whose displacement from start reaches eps by horizon."""
-    rng = rng_from(seed)
-    pad = _PaddedChain(chain)
-    disp = chain.tree.distances_from(int(start))[chain.states]
-    s0 = chain.index[int(start)]
-    state = np.full(replicates, s0, dtype=np.int64)
-    t = np.zeros(replicates)
-    exceeded = np.zeros(replicates, dtype=bool)
-    alive = np.ones(replicates, dtype=bool)
-    sweeps = 0
-    while alive.any():
-        sweeps += 1
-        if sweeps > max_sweeps:
-            raise RuntimeError("exceedance ensemble exceeded the sweep cap")
-        cur = state[alive]
-        dt = rng.exponential(size=cur.size) / pad.exit[cur]
-        t_new = t[alive] + dt
-        nxt = pad.jump(cur, rng)
-        rows = np.flatnonzero(alive)
-        in_time = t_new <= horizon
-        t[rows] = t_new
-        state[rows[in_time]] = nxt[in_time]
-        over = in_time & (disp[nxt] >= eps - 1e-12)
-        exceeded[rows[over]] = True
-        alive[rows[~in_time]] = False
-        alive[rows[over]] = False
-    return float(exceeded.mean())
-
-
 # ------------------------------------------------------ verification checks
 
 def check_natural_scale(master_seed: int, instances: int = 50,
@@ -410,9 +314,9 @@ def check_natural_scale(master_seed: int, instances: int = 50,
             err, 1e-10, 1e-10, err <= 1e-10,
             _seed_label(master_seed, 3, i)))
         chain = build_chain(tree, measure)
-        _, endpoints, _ = _mc_hitting(chain, x, (a, b),
-                                      _spawn(master_seed, 3, i, 1), replicates)
-        freq = float(np.mean(endpoints == a))
+        ens = lockstep_ensemble(chain, x, (a, b), _spawn(master_seed, 3, i, 1),
+                                replicates)
+        freq = float(np.mean(ens.endpoints == a))
         sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / replicates)
         records.append(CheckRecord(
             "natural-scale/mc", f"instance[{i}] x={x} a={a} b={b}", h,
@@ -440,8 +344,8 @@ def check_atom_law(master_seed: int, configurations: int = 10,
         payload.update(check="atom-law", index=i, w=w, u=u, v=v)
         h = _instance_hash(payload)
         chain = build_chain(tree, measure)
-        _, _, occ = _mc_hitting(chain, w, (v,), _spawn(master_seed, 4, i, 1),
-                                replicates, occupy=u)
+        occ = lockstep_ensemble(chain, w, (v,), _spawn(master_seed, 4, i, 1),
+                                replicates, occupy=u).occupation
         frac0 = float(np.mean(occ == 0.0))
         sigma0 = math.sqrt(max(law.zero_weight * (1 - law.zero_weight), 1e-12)
                            / replicates)
@@ -483,8 +387,8 @@ def check_one_sided_bounds(master_seed: int, configurations: int = 20,
                        t=repr(t), delta=repr(delta))
         h = _instance_hash(payload)
         chain = build_chain(tree, measure)
-        times, _, _ = _mc_hitting(chain, x, (v,), _spawn(master_seed, 5, i, 1),
-                                  replicates)
+        times = lockstep_ensemble(chain, x, (v,), _spawn(master_seed, 5, i, 1),
+                                  replicates).end_times
         freq = float(np.mean(times <= t))
         se = math.sqrt(max(freq * (1 - freq), 1.0 / replicates) / replicates)
         records.append(CheckRecord(
@@ -506,9 +410,11 @@ def check_one_sided_bounds(master_seed: int, configurations: int = 20,
         h = _instance_hash(payload)
         # t < (eps - delta) * m by construction, so the bound is finite
         chain = build_chain(tree, measure)
-        freq = _mc_exceedance(chain, x, eps, t,
-                              _spawn(master_seed, 5, 1000 + i, 1),
-                              replicates)
+        disp = tree.distances_from(x)[chain.states]
+        ens = lockstep_ensemble(chain, x, chain.states[disp >= eps - 1e-12],
+                                _spawn(master_seed, 5, 1000 + i, 1),
+                                replicates, horizon=t)
+        freq = float(ens.stopped.mean())
         se = math.sqrt(max(freq * (1 - freq), 1.0 / replicates) / replicates)
         records.append(CheckRecord(
             "bounds/speed", f"config[{i}] x={x}", h,
@@ -1073,9 +979,9 @@ def run_entrance_demo(config: ExperimentConfig, write: bool = True) -> RunArtifa
         solved = exact.expected_hitting(chain, leaf, tree.root)
         closed = exact.occupation_functional(tree, measure, leaf, tree.root)
         bound = entrance_bound(int(depth))
-        times, _, _ = _mc_hitting(chain, leaf, (tree.root,),
+        times = lockstep_ensemble(chain, leaf, (tree.root,),
                                   _spawn(config.master_seed, 7, depth),
-                                  config.replicates)
+                                  config.replicates).end_times
         mc_mean = float(times.mean())
         mc_se = float(times.std(ddof=1)) / math.sqrt(config.replicates)
         worst = max(worst, solved)
@@ -1118,7 +1024,7 @@ def _save_generated(config: ExperimentConfig, name: str, tree, measure,
 
 
 def run_kesten_demo(config: ExperimentConfig, write: bool = True,
-                    threads: int = 1, dump_paths: bool = False) -> RunArtifacts:
+                    dump_paths: bool = False) -> RunArtifacts:
     """Glued reflected-walk trees across sizes, with short walk summaries."""
     horizon = float(config.family.get("horizon", 1.0))
     times = config.times or (0.1, 0.3)
@@ -1144,8 +1050,7 @@ def run_kesten_demo(config: ExperimentConfig, write: bool = True,
         chain = build_chain(tree, measure)
         stop = StopRule(horizon=max(times))
         summary = batch_simulate(chain, tree.root, stop, config.replicates,
-                                 config.master_seed + int(n), threads=threads,
-                                 keep_paths=dump_paths)
+                                 config.master_seed + int(n), keep_paths=dump_paths)
         ends = np.array(summary.endpoints)
         mean_end_height = float(tree.height[ends].mean())
         rows.append({"n": int(n), "states": chain.n_states,
@@ -1218,9 +1123,9 @@ def run_coalescent_demo(config: ExperimentConfig, write: bool = True) -> RunArti
         chain = build_chain(tree, atom)
         start = chain.nearest_state(0)
         solved = exact.expected_hitting(chain, start, tree.root)
-        times, _, _ = _mc_hitting(chain, start, (tree.root,),
+        times = lockstep_ensemble(chain, start, (tree.root,),
                                   _spawn(config.master_seed, 13, n, 1),
-                                  config.replicates)
+                                  config.replicates).end_times
         mc_mean = float(times.mean())
         mc_se = float(times.std(ddof=1)) / math.sqrt(config.replicates)
         err = abs(mc_mean - solved)
@@ -1257,9 +1162,8 @@ RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig, write: bool = True,
-                   threads: int = 1, dump_paths: bool = False) -> RunArtifacts:
+                   dump_paths: bool = False) -> RunArtifacts:
     runner = RUNNERS[config.experiment]
     if runner is run_kesten_demo:
-        return runner(config, write=write, threads=threads,
-                      dump_paths=dump_paths)
+        return runner(config, write=write, dump_paths=dump_paths)
     return runner(config, write=write)

@@ -12,9 +12,11 @@ c'_ij = c_i * c_j / sum(c) reproduces the law of the watched process on the
 remaining states (the rule is the one-vertex Schur complement of the
 conductance Laplacian, which preserves effective resistances).
 
-Simulation is an exact event-by-event sampler; nothing is discretized in
-time.  Batches derive one child seed per replicate from the master seed so
-results do not depend on scheduling or thread count.
+Simulation is exact and event by event; nothing is discretized in time.
+`simulate` records one path, and `batch_simulate` derives one child seed per
+replicate from the master seed, so replicate k is reproducible on its own.
+`lockstep_ensemble` steps a whole ensemble at once from a single generator
+and returns only end times, endpoints and one holding time per replicate.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -32,6 +34,7 @@ from .tree import FLOAT_SLACK, RootedMetricTree, SpeedMeasure
 
 BOUNDARY = -1
 JUMP_CAP = 10_000_000
+SWEEP_CAP = 2_000_000
 
 
 class ChainError(ValueError):
@@ -39,7 +42,7 @@ class ChainError(ValueError):
 
 
 class JumpCapExceeded(RuntimeError):
-    """A single path exceeded the jump budget."""
+    """A path exceeded JUMP_CAP jumps, or an ensemble SWEEP_CAP sweeps."""
 
 
 class WalkChain:
@@ -67,6 +70,23 @@ class WalkChain:
         self.exit_rate = np.array([r.sum() for r in self.rates])
         self.cum_rates = [np.cumsum(r) for r in self.rates]
 
+    @cached_property
+    def jump_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbors and cumulative jump probabilities, padded to one width.
+
+        Cumulative rows end in 1.0, so count(cum[i] <= u) < len(nbr[i]) for u < 1.
+        """
+        n = self.n_states
+        width = max(len(a) for a in self.nbr)
+        nbr = np.zeros((n, width), dtype=np.int64)
+        cum = np.ones((n, width), dtype=np.float64)
+        for i in range(n):
+            k = len(self.nbr[i])
+            nbr[i, :k] = self.nbr[i]
+            cum[i, :k] = self.cum_rates[i] / self.exit_rate[i]
+            cum[i, k - 1] = 1.0   # guard the top against rounding
+        return nbr, cum
+
     @property
     def n_states(self) -> int:
         return len(self.states)
@@ -85,9 +105,6 @@ class WalkChain:
     def jump_rates(self, u: int) -> dict[int, float]:
         iu = self.index[u]
         return {int(self.states[j]): float(r) for j, r in zip(self.nbr[iu], self.rates[iu])}
-
-    def state_heights(self) -> np.ndarray:
-        return self.tree.height[self.states]
 
     def nearest_state(self, vertex: int) -> int:
         """State closest to a tree vertex, lowest id on ties."""
@@ -227,11 +244,24 @@ def derive_seed(master_seed: int, replicate: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(replicate,))
 
 
+def _state_index(chain: WalkChain, vertex, role: str) -> int:
+    """Chain index of a vertex; ChainError naming it if it is not a state."""
+    i = chain.index.get(int(vertex))
+    if i is None:
+        raise ChainError(f"{role} vertex {vertex} is not a chain state")
+    return i
+
+
 def simulate(chain: WalkChain, start: int, stop: StopRule, seed,
              jump_cap: int = JUMP_CAP) -> WalkPath:
-    """Exact event-driven sample of the chain until the stop rule triggers."""
-    if start not in chain.index:
-        raise ChainError(f"start vertex {start} is not a chain state")
+    """Exact event-driven sample of the chain until the stop rule triggers.
+
+    Raises ChainError before sampling if ``start`` or a hitting vertex is not
+    a chain state, and JumpCapExceeded after ``jump_cap`` jumps.
+    """
+    _state_index(chain, start, "start")
+    for v in stop.hitting or ():
+        _state_index(chain, v, "hitting")
     rng = rng_from(seed)
     heights = chain.tree.height
     hitting = stop.hitting
@@ -366,9 +396,6 @@ class EnsembleSummary:
     occupations: list[dict[int, float]]
     paths: Optional[list[WalkPath]] = None
 
-    def endpoint_samples(self) -> list[int]:
-        return list(self.endpoints)
-
     def mean_hitting_time(self):
         vals = [t for t in self.hitting_times if t is not None]
         if not vals:
@@ -404,21 +431,14 @@ class EnsembleSummary:
 
 
 def batch_simulate(chain: WalkChain, start: int, stop: StopRule, replicates: int,
-                   master_seed: int, threads: int = 1, keep_paths: bool = False,
+                   master_seed: int, keep_paths: bool = False,
                    jump_cap: int = JUMP_CAP) -> EnsembleSummary:
     """Run independent replicates; replicate k always uses derive_seed(master, k)."""
     if replicates < 1:
         raise ChainError("replicates must be at least 1")
-
-    def one(k: int) -> WalkPath:
-        return simulate(chain, start, stop, derive_seed(master_seed, k), jump_cap=jump_cap)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            paths = list(pool.map(one, range(replicates)))
-    else:
-        paths = [one(k) for k in range(replicates)]
-    summary = EnsembleSummary(
+    paths = [simulate(chain, start, stop, derive_seed(master_seed, k), jump_cap=jump_cap)
+             for k in range(replicates)]
+    return EnsembleSummary(
         replicates=replicates,
         master_seed=master_seed,
         start=int(start),
@@ -430,7 +450,82 @@ def batch_simulate(chain: WalkChain, start: int, stop: StopRule, replicates: int
         occupations=[occupation_times(p) for p in paths],
         paths=paths if keep_paths else None,
     )
-    return summary
+
+
+@dataclass
+class LockstepResult:
+    """Per-replicate outcomes of `lockstep_ensemble`, one array entry each."""
+
+    end_times: np.ndarray     # stop time, or the horizon
+    endpoints: np.ndarray     # vertex id held at the end time
+    stopped: np.ndarray       # True where a stop state was entered
+    occupation: np.ndarray    # holding time at ``occupy`` before the end
+
+
+def lockstep_ensemble(chain: WalkChain, start: int, stop_states, seed,
+                      replicates: int, horizon: Optional[float] = None,
+                      occupy: Optional[int] = None) -> LockstepResult:
+    """Run ``replicates`` walks from ``start`` in lockstep until each stops.
+
+    A walk stops when it enters a vertex of ``stop_states`` (at time 0 if it
+    starts in one), or at ``horizon`` in the state it holds there, whichever
+    comes first.  Each sweep moves every running walk one jump, drawing
+    ``exponential(size=alive)`` and then ``random(size=alive)`` from one
+    generator in ascending replicate order.  The occupation is the time held
+    at ``occupy`` before the end (zero without ``occupy``).
+
+    Raises ChainError before sampling if ``start``, a stop state or ``occupy``
+    is not a chain state, or if no stop state and no horizon are given, and
+    JumpCapExceeded after SWEEP_CAP sweeps.
+    """
+    s0 = _state_index(chain, start, "start")
+    is_stop = np.zeros(chain.n_states, dtype=bool)
+    is_stop[[_state_index(chain, v, "stop") for v in stop_states]] = True
+    occ_state = -1 if occupy is None else _state_index(chain, occupy, "occupy")
+    if horizon is None and not is_stop.any():
+        raise ChainError("lockstep ensemble needs a stop state or a horizon")
+    if horizon is not None and horizon < 0:
+        raise ChainError("horizon must be nonnegative")
+    if replicates < 1:
+        raise ChainError("replicates must be at least 1")
+    rng = rng_from(seed)
+    nbr, cum = chain.jump_table
+    exit_rate = chain.exit_rate
+    end_t = np.zeros(replicates)
+    end_state = np.full(replicates, s0, dtype=np.int64)
+    stopped = np.full(replicates, is_stop[s0])
+    occ = np.zeros(replicates)
+    # the running walks, compacted every sweep in ascending row order
+    rows = np.flatnonzero(~stopped)
+    cur = np.full(rows.size, s0, dtype=np.int64)
+    t = np.zeros(rows.size)
+    sweeps = 0
+    while rows.size:
+        sweeps += 1
+        if sweeps > SWEEP_CAP:
+            raise JumpCapExceeded(f"lockstep ensemble exceeded {SWEEP_CAP} sweeps")
+        dt = rng.exponential(size=cur.size) / exit_rate[cur]
+        t_new = t + dt
+        u = rng.random(cur.size)
+        nxt = nbr[cur, (u[:, None] >= cum[cur]).sum(axis=1)]
+        if occ_state >= 0:
+            at = cur == occ_state
+            held = dt if horizon is None else np.where(t_new > horizon, horizon - t, dt)
+            occ[rows[at]] += held[at]
+        if horizon is None:
+            t, cur = t_new, nxt
+            hit = done = is_stop[nxt]
+        else:
+            late = t_new > horizon
+            t = np.where(late, horizon, t_new)
+            cur = np.where(late, cur, nxt)
+            hit = ~late & is_stop[nxt]
+            done = late | hit
+        if done.any():
+            fin, keep = rows[done], ~done
+            stopped[fin], end_t[fin], end_state[fin] = hit[done], t[done], cur[done]
+            rows, cur, t = rows[keep], cur[keep], t[keep]
+    return LockstepResult(end_t, chain.states[end_state], stopped, occ)
 
 
 def export_paths_csv(paths: Iterable[WalkPath], fh):

@@ -26,7 +26,6 @@ from treeflow.families import (
 )
 from treeflow.harness import (
     ExperimentConfig,
-    _mc_hitting,
     check_atom_law,
     check_discretization,
     check_entrance,
@@ -38,7 +37,7 @@ from treeflow.harness import (
     run_experiment,
 )
 from treeflow.tree import SpeedMeasure, build_tree, check_four_point
-from treeflow.walk import build_chain
+from treeflow.walk import build_chain, lockstep_ensemble
 
 SEED = 20240817
 
@@ -106,10 +105,10 @@ def test_a2_occupation_formula():
             for z in range(tree.n):
                 if z == y:
                     continue
-                _, _, occ = _mc_hitting(
+                occ = lockstep_ensemble(
                     chain, x, (y,),
                     np.random.SeedSequence(SEED, spawn_key=(2, i, z)),
-                    10_000, occupy=z)
+                    10_000, occupy=z).occupation
                 want = exact.green_kernel(tree, x, y, z) * measure.masses[z]
                 err = abs(float(occ.mean()) - want)
                 se = float(occ.std(ddof=1)) / 100.0

@@ -18,8 +18,6 @@ from treeflow.harness import (
     ConfigError,
     ExperimentConfig,
     SuiteResult,
-    _mc_exceedance,
-    _mc_hitting,
     _stone_reference_ids,
     check_atom_law,
     check_discretization,
@@ -35,7 +33,7 @@ from treeflow.harness import (
 )
 from treeflow.cli import main as cli_main
 from treeflow.tree import SpeedMeasure, build_tree
-from treeflow.walk import build_chain
+from treeflow.walk import build_chain, lockstep_ensemble
 from conftest import path_tree
 
 SEED = 20240817
@@ -153,13 +151,21 @@ class TestRecords:
         assert parsed["records"][0]["check_id"] == "a"
 
 
+def exceedance(chain, start, eps, horizon, seed, reps):
+    """Fraction of walks whose displacement from start reaches eps by horizon."""
+    disp = chain.tree.distances_from(start)[chain.states]
+    ens = lockstep_ensemble(chain, start, chain.states[disp >= eps - 1e-12],
+                            seed, reps, horizon=horizon)
+    return float(ens.stopped.mean())
+
+
 class TestEnsembles:
     def test_hitting_endpoints_match_scale(self):
         # P_1(hit 0 before 2) = d(1,2)/d(0,2) = 2/3 on lengths (1, 2)
         t = path_tree([1.0, 2.0])
         chain = build_chain(t, SpeedMeasure([0.5, 1.0, 0.7]))
         reps = 8000
-        _, ends, _ = _mc_hitting(chain, 1, (0, 2), SEED, reps)
+        ends = lockstep_ensemble(chain, 1, (0, 2), SEED, reps).endpoints
         freq = float(np.mean(ends == 0))
         p = exact.hitting_prob(t, 1, 0, 2)
         sigma = np.sqrt(p * (1 - p) / reps)
@@ -169,7 +175,8 @@ class TestEnsembles:
         t = path_tree([1.0, 2.0, 0.5])
         chain = build_chain(t, SpeedMeasure([0.5, 1.0, 0.7, 0.3]))
         reps = 6000
-        times, ends, _ = _mc_hitting(chain, 0, (3,), SEED + 1, reps)
+        ens = lockstep_ensemble(chain, 0, (3,), SEED + 1, reps)
+        times, ends = ens.end_times, ens.endpoints
         assert set(np.unique(ends)) == {3}
         want = exact.expected_hitting(chain, 0, 3)
         se = float(times.std(ddof=1)) / np.sqrt(reps)
@@ -180,7 +187,7 @@ class TestEnsembles:
         m = SpeedMeasure([0.5, 1.0, 0.7, 0.3])
         chain = build_chain(t, m)
         reps = 6000
-        _, _, occ = _mc_hitting(chain, 0, (3,), SEED + 2, reps, occupy=1)
+        occ = lockstep_ensemble(chain, 0, (3,), SEED + 2, reps, occupy=1).occupation
         want = exact.occupation_functional(t, m, 0, 3, {1: 1.0})
         se = float(occ.std(ddof=1)) / np.sqrt(reps)
         assert abs(float(occ.mean()) - want) <= 4 * se
@@ -188,7 +195,8 @@ class TestEnsembles:
     def test_start_on_target_is_instant(self):
         t = path_tree([1.0])
         chain = build_chain(t, SpeedMeasure([1.0, 1.0]))
-        times, ends, _ = _mc_hitting(chain, 0, (0,), SEED, 100)
+        ens = lockstep_ensemble(chain, 0, (0,), SEED, 100)
+        times, ends = ens.end_times, ens.endpoints
         assert times.max() == 0.0 and set(np.unique(ends)) == {0}
 
     def test_exceedance_two_state(self):
@@ -198,7 +206,7 @@ class TestEnsembles:
         chain = build_chain(t, m)
         horizon = 1.3
         reps = 8000
-        got = _mc_exceedance(chain, 0, 1.0, horizon, SEED + 3, reps)
+        got = exceedance(chain, 0, 1.0, horizon, SEED + 3, reps)
         rate = 1.0 / (2.0 * 0.8)   # conductance 1 over twice the start mass
         p = 1.0 - np.exp(-rate * horizon)
         sigma = np.sqrt(p * (1 - p) / reps)
@@ -207,7 +215,7 @@ class TestEnsembles:
     def test_exceedance_beyond_diameter_is_zero(self):
         t = path_tree([1.0, 1.0])
         chain = build_chain(t, SpeedMeasure([1.0, 1.0, 1.0]))
-        assert _mc_exceedance(chain, 0, 5.0, 2.0, SEED, 500) == 0.0
+        assert exceedance(chain, 0, 5.0, 2.0, SEED, 500) == 0.0
 
 
 class TestVerifyChecks:
@@ -339,7 +347,7 @@ class TestRunners:
     def test_kesten_small_with_paths(self, tmp_path):
         cfg = tiny("kesten", n_list=(8,), replicates=40, times=(0.1, 0.3),
                    output_dir=str(tmp_path / "k"))
-        art = run_experiment(cfg, write=True, threads=2, dump_paths=True)
+        art = run_experiment(cfg, write=True, dump_paths=True)
         assert art.all_passed
         assert (tmp_path / "k" / "trees" / "kesten-n8.tree").exists()
         prov = json.loads(
@@ -375,15 +383,6 @@ class TestRunners:
             run_experiment(cfg, write=True)
             outs.append((tmp_path / tag / "report.json").read_bytes())
         assert outs[0] == outs[1]
-
-    def test_threads_do_not_change_results(self, tmp_path):
-        arts = []
-        for threads in (1, 4):
-            cfg = tiny("kesten", n_list=(6,), replicates=60,
-                       output_dir=str(tmp_path / f"t{threads}"))
-            arts.append(run_experiment(cfg, write=False, threads=threads))
-        assert arts[0].suite.to_json() == arts[1].suite.to_json()
-        assert arts[0].tables["kesten"] == arts[1].tables["kesten"]
 
     def test_seed_changes_mc_statistics(self, tmp_path):
         rows = []

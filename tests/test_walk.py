@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from treeflow.tree import SpeedMeasure, build_tree, restrict
+from treeflow import walk
 from treeflow.walk import (
     BOUNDARY,
     ChainError,
@@ -18,11 +19,12 @@ from treeflow.walk import (
     dirichlet_energy,
     export_paths_csv,
     generator_apply,
+    lockstep_ensemble,
     max_displacement,
     occupation_times,
     simulate,
 )
-from conftest import random_masses, random_tree
+from conftest import path_tree, random_masses, random_tree
 
 
 def y_tree(a=1.0, b=1.0, c=1.0):
@@ -236,17 +238,6 @@ class TestRestrictionEquivalence:
 
 
 class TestBatch:
-    def test_thread_count_does_not_change_results(self):
-        t = y_tree(0.5, 1.0, 2.0)
-        chain = build_chain(t, SpeedMeasure([1.0, 0.7, 1.3, 0.9]))
-        stop = StopRule(horizon=5.0)
-        a = batch_simulate(chain, 0, stop, replicates=64, master_seed=5150, threads=1)
-        b = batch_simulate(chain, 0, stop, replicates=64, master_seed=5150, threads=4)
-        assert a.endpoints == b.endpoints
-        assert a.end_times == b.end_times
-        assert a.jump_counts == b.jump_counts
-        assert a.occupations == b.occupations
-
     def test_replicate_seed_is_positional(self):
         t = y_tree()
         chain = build_chain(t, SpeedMeasure([1.0, 1.0, 1.0, 1.0]))
@@ -280,6 +271,120 @@ class TestBatch:
         assert lines[0] == "replicate,jump_index,time,state"
         assert len(lines) == 1 + sum(1 + len(p.jump_times) for p in s.paths)
         assert lines[1].startswith("0,0,0.0,")
+
+
+def no_sampling(seed):
+    raise AssertionError("a generator was built before the input was checked")
+
+
+class TestBadVertices:
+    """Vertices that are not chain states are rejected before any sampling."""
+
+    def chain_with_eliminated_middle(self):
+        # vertex 1 has zero mass and is folded away; states are {0, 2}
+        return build_chain(path_tree([1.0, 1.0]), SpeedMeasure([1.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [1, 7, -1])
+    def test_simulate_rejects_hitting_vertex(self, monkeypatch, bad):
+        chain = self.chain_with_eliminated_middle()
+        monkeypatch.setattr(walk, "rng_from", no_sampling)
+        stop = StopRule(hitting=frozenset({2, bad}))
+        with pytest.raises(ChainError, match=f"vertex {bad} "):
+            simulate(chain, 0, stop, seed=1)
+        with pytest.raises(ChainError, match=f"vertex {bad} "):
+            batch_simulate(chain, 0, stop, replicates=4, master_seed=1)
+
+    @pytest.mark.parametrize("kwargs, role", [
+        ({"start": 1}, "start"),
+        ({"start": 9}, "start"),
+        ({"stop_states": (2, 1)}, "stop"),
+        ({"stop_states": (5,)}, "stop"),
+        ({"occupy": 1}, "occupy"),
+        ({"occupy": -3}, "occupy"),
+    ])
+    def test_lockstep_rejects_vertex(self, monkeypatch, kwargs, role):
+        chain = self.chain_with_eliminated_middle()
+        monkeypatch.setattr(walk, "rng_from", no_sampling)
+        args = {"start": 0, "stop_states": (2,), "seed": 1, "replicates": 8}
+        args.update(kwargs)
+        with pytest.raises(ChainError, match=f"{role} vertex "):
+            lockstep_ensemble(chain, **args)
+
+    def test_lockstep_needs_a_way_to_stop(self, monkeypatch):
+        chain = self.chain_with_eliminated_middle()
+        monkeypatch.setattr(walk, "rng_from", no_sampling)
+        with pytest.raises(ChainError, match="stop state or a horizon"):
+            lockstep_ensemble(chain, 0, (), 1, 8)
+        with pytest.raises(ChainError, match="horizon"):
+            lockstep_ensemble(chain, 0, (2,), 1, 8, horizon=-1.0)
+        with pytest.raises(ChainError, match="replicates"):
+            lockstep_ensemble(chain, 0, (2,), 1, 0)
+
+
+def masked_reference(chain, start, stop_states, seed, reps, horizon=None, occupy=None):
+    """Lockstep ensemble without compaction: walks that ended stay masked."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    nbr, cum = chain.jump_table
+    limit = np.inf if horizon is None else horizon
+    stop = np.isin(chain.states, list(stop_states))
+    state = np.full(reps, chain.index[start])
+    t = np.zeros(reps)
+    occ = np.zeros(reps)
+    alive = ~stop[state]
+    while alive.any():
+        cur, t_old = state[alive], t[alive]
+        dt = rng.exponential(size=cur.size) / chain.exit_rate[cur]
+        u = rng.random(cur.size)
+        nxt = nbr[cur, (u[:, None] >= cum[cur]).sum(axis=1)]
+        late = t_old + dt > limit
+        if occupy is not None:
+            held = np.where(late, limit - t_old, dt)
+            occ[alive] += np.where(cur == chain.index[occupy], held, 0.0)
+        t[alive] = np.where(late, limit, t_old + dt)
+        state[alive] = np.where(late, cur, nxt)
+        ended = late | stop[nxt]
+        alive[np.flatnonzero(alive)[ended]] = False
+    return t, chain.states[state], stop[state], occ
+
+
+class TestLockstep:
+    def test_matches_masked_reference(self, rng):
+        # compaction must not change the draws any replicate sees
+        for trial in range(6):
+            t = random_tree(rng, 9)
+            chain = build_chain(t, random_masses(rng, 9))
+            horizon = (None, 1.5)[trial % 2]
+            args = (chain, 0, (8,), 40 + trial, 300)
+            ens = lockstep_ensemble(*args, horizon=horizon, occupy=3)
+            want = masked_reference(*args, horizon=horizon, occupy=3)
+            got = (ens.end_times, ens.endpoints, ens.stopped, ens.occupation)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        # the target is 9 edges away, so every walk needs at least 9 sweeps
+        chain = build_chain(path_tree([1.0] * 9), SpeedMeasure([1.0] * 10))
+        monkeypatch.setattr(walk, "SWEEP_CAP", 3)
+        with pytest.raises(JumpCapExceeded, match="3 sweeps"):
+            lockstep_ensemble(chain, 0, (9,), 5, 20)
+
+    def test_horizon_and_stop_outcomes(self):
+        chain = build_chain(path_tree([1.0, 1.0]), SpeedMeasure([1.0, 1.0, 1.0]))
+        ens = lockstep_ensemble(chain, 0, (2,), 17, 400, horizon=1.5, occupy=0)
+        late = ~ens.stopped
+        assert late.any() and ens.stopped.any()
+        assert np.all(ens.end_times[late] == 1.5)
+        assert np.all(ens.end_times[ens.stopped] <= 1.5)
+        assert set(ens.endpoints[ens.stopped]) == {2}
+        assert set(ens.endpoints[late]) <= {0, 1}
+        assert np.all(ens.occupation <= ens.end_times)
+        assert np.all(ens.occupation > 0.0)
+
+    def test_start_in_stop_set_is_instant(self):
+        chain = build_chain(path_tree([1.0, 2.0]), SpeedMeasure([0.5, 1.0, 0.7]))
+        ens = lockstep_ensemble(chain, 1, (1, 2), 3, 10, occupy=1)
+        assert ens.stopped.all() and not ens.end_times.any()
+        assert set(ens.endpoints) == {1} and not ens.occupation.any()
 
 
 class TestGeneratorAndEnergy:
