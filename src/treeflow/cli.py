@@ -3,14 +3,20 @@
 Usage: treeflow <experiment> [--config FILE] [--seed N] [--out DIR]
                 [--dump-paths]
 
-Without --config the shipped default for the experiment runs.  The exit
-code is 0 exactly when every check record in the report passed.
+Without --config the shipped default for the experiment runs.
+
+Exit codes:
+  0  every check record in the report passed
+  1  the run finished and some check failed
+  2  the config was rejected (the message names the field)
+  3  the experiment crashed; stderr names it and the exception
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .harness import EXPERIMENTS, ConfigError, ExperimentConfig, run_experiment
 
@@ -51,7 +57,16 @@ def main(argv=None) -> int:
         print(f"treeflow: config error: {e}", file=sys.stderr)
         return 2
 
-    artifacts = run_experiment(config, write=True, dump_paths=args.dump_paths)
+    try:
+        artifacts = run_experiment(config, write=True, dump_paths=args.dump_paths)
+    except ConfigError as e:
+        print(f"treeflow: config error: {e}", file=sys.stderr)
+        return 2
+    except Exception as e:
+        traceback.print_exc()
+        print(f"treeflow: {args.experiment} crashed: {type(e).__name__}: {e}",
+              file=sys.stderr)
+        return 3
     suite = artifacts.suite
     for check_id, (ok, total) in sorted(suite.counts().items()):
         print(f"{check_id}: {ok}/{total} passed")

@@ -51,12 +51,15 @@ def occupation_functional(tree: RootedMetricTree, measure: SpeedMeasure,
         fv = np.ones(tree.n)
     else:
         fv = _as_vertex_function(tree, f)
+    zs = np.flatnonzero((measure.masses != 0.0) & (fv != 0.0))
+    # green_kernel for every z at once: the median is the deepest pairwise meet
+    meets = (tree.lca(x, y), tree.lca(y, zs), tree.lca(x, zs))
+    median = np.where(tree.depth[meets[1]] > tree.depth[meets[0]], meets[1], meets[0])
+    median = np.where(tree.depth[meets[2]] > tree.depth[median], meets[2], median)
+    terms = fv[zs] * (2.0 * tree.distance(y, median)) * measure.masses[zs]
     total = 0.0
-    for z in range(tree.n):
-        mz = measure.masses[z]
-        if mz == 0.0 or fv[z] == 0.0:
-            continue
-        total += fv[z] * green_kernel(tree, x, y, z) * mz
+    for term in terms:       # summed in vertex order, like the scalar formula
+        total += term
     return total
 
 
@@ -347,7 +350,13 @@ def heat_kernel(chain: WalkChain, start: int, times) -> HeatKernelResult:
     P_t = sum_k Poisson(k; L t) B^k with B = I + Q / L and L just above the
     top exit rate.  Terms are added until the Poisson weights of every
     requested time have absorbed all but 1e-12 of their mass, with weights
-    computed in log space so large L t cannot underflow.
+    computed in log space so large L t cannot underflow.  A time whose sum
+    stalls below that in floating point is finished once k is past its
+    mean a = L t and its weight has underflowed to 0.0: past the mode the
+    weights only fall.  The Chernoff bound on the Poisson tail puts that
+    underflow (log weight below -746) within a + 39 sqrt(a) + 498, so
+
+        terms <= a_max + 39 * sqrt(a_max) + 499,   a_max = L * max(times).
     """
     if start not in chain.index:
         raise OracleError(f"start vertex {start} is not a chain state")
@@ -375,11 +384,11 @@ def heat_kernel(chain: WalkChain, start: int, times) -> HeatKernelResult:
     lt = np.array([lam * t for t in tlist])
     psi = np.zeros(n)
     psi[chain.index[start]] = 1.0
+    finished = [False] * len(tlist)
     k = 0
     while True:
-        done = True
         for i, a in enumerate(lt):
-            if cum[i] >= 1.0 - POISSON_TAIL:
+            if finished[i]:
                 continue
             if a == 0.0:
                 w = 1.0 if k == 0 else 0.0
@@ -388,9 +397,8 @@ def heat_kernel(chain: WalkChain, start: int, times) -> HeatKernelResult:
             if w > 0.0:
                 out[i] += w * psi
                 cum[i] += w
-            if cum[i] < 1.0 - POISSON_TAIL:
-                done = False
-        if done:
+            finished[i] = cum[i] >= 1.0 - POISSON_TAIL or (k > a and w == 0.0)
+        if all(finished):
             break
         psi = psi @ b
         k += 1

@@ -70,14 +70,58 @@ EXPERIMENTS = ("verify", "stone", "crt", "binary-entrance", "kesten",
 _CONFIG_FIELDS = ("experiment", "family", "n_list", "times", "replicates",
                   "master_seed", "output_dir")
 
-_FAMILY_KEYS = {
-    "verify": {"scale"},
-    "stone": {"span_exponent", "reference_level", "delta"},
-    "crt": {"knots", "delta"},
-    "binary-entrance": set(),
-    "kesten": {"horizon"},
-    "coalescent": {"kind", "a", "b", "atoms"},
-    "fdd": {"mass_floor", "with_joint"},
+
+def _is_number(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _integer_from(low: int):
+    def check(v):
+        if isinstance(v, bool) or not isinstance(v, int) or v < low:
+            return f"must be an integer >= {low}"
+    return check
+
+
+def _positive(v):
+    if not (_is_number(v) and v > 0):
+        return "must be a positive number"
+
+
+def _unit_interval(v):
+    if not (_is_number(v) and 0 < v <= 1):
+        return "must be a number in (0, 1]"
+
+
+def _boolean(v):
+    if not isinstance(v, bool):
+        return "must be true or false"
+
+
+def _coalescent_kind(v):
+    if v not in ("kingman", "beta", "atoms"):
+        return "must be one of 'kingman', 'beta', 'atoms'"
+
+
+def _atom_list(v):
+    if not (isinstance(v, list) and v and all(
+            isinstance(p, list) and len(p) == 2 and all(map(_is_number, p))
+            and 0 < p[0] <= 1 and p[1] > 0 for p in v)):
+        return "must be a nonempty list of [x, w] pairs with 0 < x <= 1 and w > 0"
+
+
+# allowed family keys per experiment and the check on each value; a check
+# returns a description of the problem, or None when the value is fine
+_FAMILY_SCHEMA = {
+    "verify": {"scale": _unit_interval},
+    "stone": {"span_exponent": _integer_from(1),
+              "reference_level": _integer_from(1), "delta": _positive},
+    "crt": {"knots": _integer_from(2), "delta": _positive},
+    "binary-entrance": {},
+    "kesten": {"horizon": _positive},
+    "coalescent": {"kind": _coalescent_kind, "a": _positive, "b": _positive,
+                   "atoms": _atom_list},
+    "fdd": {"mass_floor": _positive, "with_joint": _boolean},
 }
 
 
@@ -100,7 +144,7 @@ class ExperimentConfig:
             raise ConfigError(f"experiment: unknown name {self.experiment!r}")
         if not isinstance(self.family, dict):
             raise ConfigError("family: must be an object")
-        extra = set(self.family) - _FAMILY_KEYS[self.experiment]
+        extra = set(self.family) - set(_FAMILY_SCHEMA[self.experiment])
         if extra:
             raise ConfigError(
                 f"family: unknown key {sorted(extra)[0]!r} for "
@@ -121,6 +165,25 @@ class ExperimentConfig:
             raise ConfigError("master_seed: must be an integer in [0, 2^64)")
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError("output_dir: must be a nonempty path")
+        self._check_family_values()
+
+    def _check_family_values(self):
+        family = self.family
+        for key, check in _FAMILY_SCHEMA[self.experiment].items():
+            problem = check(family[key]) if key in family else None
+            if problem:
+                raise ConfigError(f"family.{key}: {problem}, got {family[key]!r}")
+        if self.experiment == "stone" and "reference_level" in family:
+            ref = family["reference_level"]
+            if any(ref % n for n in self.n_list):
+                raise ConfigError(
+                    f"family.reference_level: must be a multiple of every n in "
+                    f"n_list, got {ref!r}")
+        if self.experiment == "coalescent":
+            kind = family.get("kind", "kingman")
+            for key in {"beta": ("a", "b"), "atoms": ("atoms",)}.get(kind, ()):
+                if key not in family:
+                    raise ConfigError(f"family.{key}: required when kind is {kind!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -646,8 +709,6 @@ def _write_report(config: ExperimentConfig, artifacts: RunArtifacts) -> None:
 def run_verify(config: ExperimentConfig, write: bool = True) -> RunArtifacts:
     """Replay the oracle checks on seeded instances and report pass/fail."""
     scale = float(config.family.get("scale", 1.0))
-    if not 0 < scale <= 1:
-        raise ConfigError("family.scale: must be in (0, 1]")
 
     def k(n):
         return max(2, int(round(n * scale)))

@@ -23,7 +23,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -99,8 +99,22 @@ def empirical_law(samples) -> FiniteAtomMeasure:
     return FiniteAtomMeasure.from_samples(samples, total=1.0)
 
 
-def tree_metric(tree: RootedMetricTree) -> Callable[[int, int], float]:
-    return lambda u, v: tree.distance(int(u), int(v))
+@dataclass(frozen=True)
+class TreeMetric:
+    """The metric of a tree on its vertex ids, as a callable d(u, v).
+
+    The distances here recognize it and ask the tree for all the pair
+    distances they need in one batched query.
+    """
+
+    tree: RootedMetricTree
+
+    def __call__(self, u, v) -> float:
+        return self.tree.distance(int(u), int(v))
+
+
+def tree_metric(tree: RootedMetricTree) -> TreeMetric:
+    return TreeMetric(tree)
 
 
 # ------------------------------------------------------------------ Prohorov
@@ -228,6 +242,9 @@ def prohorov(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist,
             raise MeasureError("coords must align with the two supports")
         if dists is None:
             dists = np.abs(pos_mu[:, None] - pos_nu[None, :])
+    if dists is None and isinstance(dist, TreeMetric):
+        dists = dist.tree.distance_block(_vertex_ids(mu.points),
+                                         _vertex_ids(nu.points))
     if dists is None:
         dists = np.array([[dist(p, q) for q in nu.points] for p in mu.points],
                          dtype=np.float64)
@@ -343,23 +360,27 @@ def kr_distance(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist,
         return float(abs(w[0]))
 
     if path_order is not None:
-        order = [p for p in path_order if p in pos]
+        order = [pos[p] for p in path_order if p in pos]
         if len(order) != n:
             raise MeasureError("path_order must cover the whole support")
-        pairs = [(pos[a], pos[b]) for a, b in zip(order, order[1:])]
+        pi = np.array(order[:-1], dtype=np.int64)
+        pj = np.array(order[1:], dtype=np.int64)
     else:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        pi, pj = np.triu_indices(n, 1)
 
-    rows_i, rows_j, vals = [], [], []
-    rhs = np.empty(2 * len(pairs))
-    for k, (i, j) in enumerate(pairs):
-        d = dist(support[i], support[j])
-        rows_i += [2 * k, 2 * k, 2 * k + 1, 2 * k + 1]
-        rows_j += [i, j, i, j]
-        vals += [1.0, -1.0, -1.0, 1.0]
-        rhs[2 * k] = d
-        rhs[2 * k + 1] = d
-    a_ub = sp.csr_matrix((vals, (rows_i, rows_j)), shape=(2 * len(pairs), n))
+    if isinstance(dist, TreeMetric):
+        ids = _vertex_ids(support)
+        d = dist.tree.distance(ids[pi], ids[pj])
+    else:
+        d = np.array([dist(support[i], support[j]) for i, j in zip(pi, pj)],
+                     dtype=np.float64)
+    # pair k gives rows 2k (f_i - f_j <= d) and 2k + 1 (f_j - f_i <= d)
+    k2 = 2 * np.arange(len(pi))
+    rows_i = np.stack((k2, k2, k2 + 1, k2 + 1), axis=1).ravel()
+    rows_j = np.stack((pi, pj, pi, pj), axis=1).ravel()
+    vals = np.tile([1.0, -1.0, -1.0, 1.0], len(pi))
+    rhs = np.repeat(d, 2)
+    a_ub = sp.csr_matrix((vals, (rows_i, rows_j)), shape=(2 * len(pi), n))
     res = linprog(-w, A_ub=a_ub, b_ub=rhs, bounds=(-1.0, 1.0), method="highs")
     if not res.success:
         raise MeasureError(f"dual program failed: {res.message}")
@@ -407,22 +428,21 @@ def kr_bruteforce(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist) -> float:
 
 # ------------------------------------------------------ set and report layer
 
+def _vertex_ids(points) -> np.ndarray:
+    return np.array([int(p) for p in points], dtype=np.int64)
+
+
 def hausdorff_distance(tree: RootedMetricTree, a, b) -> float:
     """Hausdorff gap between two vertex sets in the tree metric."""
-    a = [int(v) for v in a]
-    b = [int(v) for v in b]
-    if not a and not b:
-        return 0.0
-    if not a or not b:
-        return math.inf
-    worst = 0.0
-    for u in a:
-        d = tree.distances_from(u)
-        worst = max(worst, min(d[v] for v in b))
-    for v in b:
-        d = tree.distances_from(v)
-        worst = max(worst, min(d[u] for u in a))
-    return float(worst)
+    return _block_hausdorff(tree.distance_block(_vertex_ids(a), _vertex_ids(b)))
+
+
+def _block_hausdorff(dmat: np.ndarray) -> float:
+    """Hausdorff gap read off the |a| x |b| distance block of two sets."""
+    rows, cols = dmat.shape
+    if not rows or not cols:
+        return 0.0 if rows == cols else math.inf
+    return float(max(0.0, dmat.min(axis=1).max(), dmat.min(axis=0).max()))
 
 
 @dataclass
@@ -491,10 +511,10 @@ class ConvergenceReport:
 
 
 def _ball_measure(tree: RootedMetricTree, measure: SpeedMeasure, radius: float) -> FiniteAtomMeasure:
-    return FiniteAtomMeasure.from_dict({
-        v: measure.masses[v] for v in range(tree.n)
-        if measure.masses[v] > 0 and tree.height[v] <= radius + FLOAT_SLACK
-    })
+    inside = np.flatnonzero((measure.masses > 0)
+                            & (tree.height <= radius + FLOAT_SLACK))
+    return FiniteAtomMeasure(tuple(inside.tolist()),
+                             tuple(measure.masses[inside].tolist()))
 
 
 def gh_vague_report(tree: RootedMetricTree, limit_measure: SpeedMeasure,
@@ -520,16 +540,13 @@ def gh_vague_report(tree: RootedMetricTree, limit_measure: SpeedMeasure,
     report = ConvergenceReport()
     for radius in radii:
         target = _ball_measure(tree, limit_measure, radius)
-        tgt_idx = np.fromiter(target.points, dtype=np.int64, count=len(target))
-        flagged = any(
-            limit_measure.masses[v] > 0 and abs(tree.height[v] - radius) <= GEOM_TOL
-            for v in range(tree.n))
+        tgt_idx = _vertex_ids(target.points)
+        flagged = bool(np.any((limit_measure.masses > 0)
+                              & (np.abs(tree.height - radius) <= GEOM_TOL)))
         for label, approx in approximations:
             got = _ball_measure(tree, approx, radius)
-            got_idx = np.fromiter(got.points, dtype=np.int64, count=len(got))
-            dmat = np.vstack([tree.distances_from(int(p))[tgt_idx]
-                              for p in got.points]) if len(got) and len(target) \
-                else np.zeros((len(got), len(target)))
+            got_idx = _vertex_ids(got.points)
+            dmat = tree.distance_block(got_idx, tgt_idx)
             order = None
             coords = None
             if line_coords is not None:
@@ -540,7 +557,7 @@ def gh_vague_report(tree: RootedMetricTree, limit_measure: SpeedMeasure,
             report.rows.append(ConvergenceRow(
                 label=str(label),
                 radius=float(radius),
-                hausdorff=hausdorff_distance(tree, got.points, target.points),
+                hausdorff=_block_hausdorff(dmat),
                 prohorov=prohorov(got, target, dist, dists=dmat, coords=coords),
                 kr=kr_distance(got, target, dist, path_order=order),
                 m_delta=lower_mass(tree, approx, delta, radius=radius).value,
@@ -557,10 +574,10 @@ def polynomial_lower_bound(tree: RootedMetricTree, measure: SpeedMeasure,
     and no polynomial floor of that exponent exists.
     """
     best = math.inf
+    everyone = np.arange(tree.n)
     for d in deltas:
         if d <= 0:
             raise MeasureError("deltas must be positive")
-        for x in range(tree.n):
-            m = measure.ball_mass(tree, x, d, closed=False)
-            best = min(best, m / d ** kappa)
+        masses = measure.ball_masses(tree, everyone, d, closed=False)
+        best = min(best, float((masses / d ** kappa).min()))
     return float(best)

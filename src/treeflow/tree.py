@@ -7,6 +7,14 @@ metric queries go through lowest-common-ancestor arithmetic:
 
     d(x, y) = height[x] + height[y] - 2 * height[lca(x, y)]
 
+One Euler-tour table with a sparse range-minimum index (built on the first
+query) answers every meet in O(1).  The same table serves the scalar
+``lca(x, y)`` / ``distance(x, y)`` on two vertex ids and their batched
+forms on id arrays, which broadcast like numpy and keep the operand order
+above, so a batched distance equals the scalar one bit for bit.
+``distance_block`` evaluates a whole xs-by-ys block a bounded number of
+pairs at a time.
+
 The module also provides the measure-side toolkit used throughout the
 package: per-vertex mass vectors (:class:`SpeedMeasure`), the edge-length
 measure, lower mass bounds over balls, degree counts at a scale, restriction
@@ -18,12 +26,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations, islice
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 GEOM_TOL = 1e-9
 FLOAT_SLACK = 1e-12
+# vertex pairs per batched distance block: bounds the temporaries of one block
+PAIR_BLOCK = 1 << 16
+
+_INTEGER = (int, np.integer)
 
 
 class TreeError(ValueError):
@@ -39,6 +52,80 @@ def _as_int(v, what="vertex"):
     if iv != v:
         raise TreeError(f"{what} must be an integer, got {v!r}")
     return iv
+
+
+class _EulerTable:
+    """Euler tour of a tree plus a sparse minimum table over it.
+
+    Bender & Farach-Colton, "The LCA problem revisited" (LATIN 2000):
+    lca(x, y) is the shallowest vertex of the tour between the first visits
+    of x and y.  Row k of the table holds the minimum of every tour window
+    of length 2^k, so two overlapping windows cover any range.  Entries are
+    ``depth << bits | vertex``, so a minimum carries its vertex, read back
+    with ``& mask``.  Rows are stored flat: for a range of length s from lo
+    to hi, the two windows sit at ``lo_offset[s] + lo`` and
+    ``hi_offset[s] + hi``.  O(n log n) to build, O(1) per query.
+    """
+
+    def __init__(self, tree: "RootedMetricTree"):
+        n = tree.n
+        kids = [c.tolist() for c in tree._children]
+        tour = [tree.root]
+        first = [0] * n
+        stack = [(tree.root, iter(kids[tree.root]))]
+        while stack:
+            c = next(stack[-1][1], None)
+            if c is None:
+                stack.pop()
+                if stack:
+                    tour.append(stack[-1][0])
+            else:
+                first[c] = len(tour)
+                tour.append(c)
+                stack.append((c, iter(kids[c])))
+        euler = np.array(tour, dtype=np.int64)
+        m = len(tour)
+        bits = n.bit_length()
+        table = np.empty((m.bit_length(), m), dtype=np.int64)
+        table[0] = (tree.depth[euler] << bits) | euler
+        for k in range(1, table.shape[0]):
+            # row k covers tour windows of length 2^k; its tail is never read
+            span = m - (1 << k) + 1
+            table[k, :span] = np.minimum(table[k - 1, :span],
+                                         table[k - 1, (1 << (k - 1)):][:span])
+        lengths = np.arange(m + 1)
+        lengths[0] = 1
+        level = np.frexp(lengths.astype(np.float64))[1] - 1
+        self.width = m
+        self.keys = table.ravel()
+        self.mask = (1 << bits) - 1
+        self.lo_offset = level * m
+        self.hi_offset = level * m + 1 - np.left_shift(1, level)
+        self.first = np.array(first, dtype=np.int64)
+        # plain lists serve the scalar queries without numpy scalar overhead
+        self.first_list = first
+        self.heights = tree.height.tolist()
+
+    def meet(self, x: int, y: int) -> int:
+        """lca of two valid vertex ids."""
+        i, j = self.first_list[x], self.first_list[y]
+        if i > j:
+            i, j = j, i
+        k = (j - i + 1).bit_length() - 1
+        base = k * self.width
+        a = self.keys.item(base + i)
+        b = self.keys.item(base + j + 1 - (1 << k))
+        return (a if a < b else b) & self.mask
+
+    def meets(self, xs, ys) -> np.ndarray:
+        """lca of valid vertex id arrays (or a full slice), broadcast."""
+        i, j = self.first[xs], self.first[ys]
+        lo = np.minimum(i, j)
+        hi = np.maximum(i, j)
+        span = hi - lo + 1
+        a = self.keys[self.lo_offset[span] + lo]
+        b = self.keys[self.hi_offset[span] + hi]
+        return np.minimum(a, b) & self.mask
 
 
 class RootedMetricTree:
@@ -59,8 +146,7 @@ class RootedMetricTree:
         self._fill_depth_height()
         self._children: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * self.n
         self._fill_children()
-        self._lift: Optional[np.ndarray] = None
-        self._euler: Optional[tuple] = None
+        self._euler: Optional[_EulerTable] = None
         for arr in (self.parent, self.edge_length, self.depth, self.height):
             arr.setflags(write=False)
 
@@ -90,72 +176,33 @@ class RootedMetricTree:
                 kids[int(self.parent[v])].append(v)
         self._children = [np.array(c, dtype=np.int64) for c in kids]
 
-    def _ensure_lift(self):
-        if self._lift is not None:
-            return
-        levels = max(1, int(np.ceil(np.log2(max(2, int(self.depth.max()) + 1)))))
-        lift = np.empty((levels, self.n), dtype=np.int64)
-        lift[0] = self.parent
-        for k in range(1, levels):
-            lift[k] = lift[k - 1][lift[k - 1]]
-        self._lift = lift
+    def _tables(self) -> "_EulerTable":
+        if self._euler is None:
+            self._euler = _EulerTable(self)
+        return self._euler
 
-    def _ensure_euler(self):
-        # Euler tour + sparse minimum table: whole-array meets in a few gathers
-        if self._euler is not None:
-            return
-        euler = np.empty(2 * self.n - 1, dtype=np.int64)
-        first = np.empty(self.n, dtype=np.int64)
-        pos = 0
-        euler[pos] = self.root
-        first[self.root] = 0
-        pos += 1
-        stack = [(self.root, 0)]
-        while stack:
-            v, ci = stack[-1]
-            kids = self._children[v]
-            if ci < len(kids):
-                stack[-1] = (v, ci + 1)
-                c = int(kids[ci])
-                first[c] = pos
-                euler[pos] = c
-                pos += 1
-                stack.append((c, 0))
-            else:
-                stack.pop()
-                if stack:
-                    euler[pos] = stack[-1][0]
-                    pos += 1
-        edepth = self.depth[euler]
-        m = len(euler)
-        levels = max(1, m.bit_length())
-        table = np.empty((levels, m), dtype=np.int64)
-        table[0] = np.arange(m)
-        for k in range(1, levels):
-            half = 1 << (k - 1)
-            table[k] = table[k - 1]
-            span = m - (1 << k) + 1
-            if span > 0:
-                left = table[k - 1][:span]
-                right = table[k - 1][half:half + span]
-                table[k][:span] = np.where(edepth[left] <= edepth[right],
-                                           left, right)
-        self._euler = (euler, first, edepth, table)
+    def _vertex_array(self, vs) -> np.ndarray:
+        arr = np.asarray(vs)
+        if arr.size == 0:
+            return arr.astype(np.int64)
+        if arr.dtype.kind not in "iu":
+            raise TreeError(f"vertex ids must be integers, got dtype {arr.dtype}")
+        bad = (arr < 0) | (arr >= self.n)
+        if bad.any():
+            raise TreeError(f"vertex {arr[bad].flat[0]} outside vertex range "
+                            f"0..{self.n - 1}")
+        return arr.astype(np.int64, copy=False)
 
-    def _lca_heights_from(self, x: int) -> np.ndarray:
-        """height(lca(x, v)) for every v, vectorized over the whole tree."""
-        self._ensure_euler()
-        euler, first, edepth, table = self._euler
-        fx = first[int(x)]
-        lo = np.minimum(fx, first)
-        hi = np.maximum(fx, first)
-        span = hi - lo + 1
-        k = np.frexp(span.astype(np.float64))[1] - 1
-        pow2 = np.left_shift(1, k)
-        a = table[k, lo]
-        b = table[k, hi - pow2 + 1]
-        best = np.where(edepth[a] <= edepth[b], a, b)
-        return self.height[euler[best]]
+    def _lca_scalar(self, x: int, y: int) -> int:
+        n = self.n
+        if not (0 <= x < n and 0 <= y < n):
+            bad = y if 0 <= x < n else x
+            raise TreeError(f"vertex {bad} outside vertex range 0..{n - 1}")
+        return (self._euler or self._tables()).meet(x, y)
+
+    def _distance_array(self, xs, ys) -> np.ndarray:
+        h = self.height
+        return h[xs] + h[ys] - 2.0 * h[self._tables().meets(xs, ys)]
 
     # -- basic queries ----------------------------------------------------
 
@@ -176,33 +223,43 @@ class RootedMetricTree:
             if v != self.root:
                 yield v, int(self.parent[v]), float(self.edge_length[v])
 
-    def lca(self, x: int, y: int) -> int:
-        self._ensure_lift()
-        lift = self._lift
-        dx, dy = int(self.depth[x]), int(self.depth[y])
-        if dx < dy:
-            x, y = y, x
-            dx, dy = dy, dx
-        diff = dx - dy
-        k = 0
-        while diff:
-            if diff & 1:
-                x = int(lift[k][x])
-            diff >>= 1
-            k += 1
-        if x == y:
-            return x
-        for k in range(lift.shape[0] - 1, -1, -1):
-            if lift[k][x] != lift[k][y]:
-                x = int(lift[k][x])
-                y = int(lift[k][y])
-        return int(self.parent[x])
+    def lca(self, x, y):
+        """Lowest common ancestor; O(1) after an O(n log n) table build.
 
-    def distance(self, x: int, y: int) -> float:
-        if x == y:
-            return 0.0
-        a = self.lca(x, y)
-        return float(self.height[x] + self.height[y] - 2.0 * self.height[a])
+        Two vertex ids give an int.  Arrays (or an id and an array) give an
+        array of meets under numpy broadcasting.
+        """
+        if isinstance(x, _INTEGER) and isinstance(y, _INTEGER):
+            return self._lca_scalar(x, y)
+        return self._tables().meets(self._vertex_array(x), self._vertex_array(y))
+
+    def distance(self, x, y):
+        """d(x, y) = height[x] + height[y] - 2 * height[lca(x, y)].
+
+        Two vertex ids give a float; arrays broadcast like :meth:`lca` and
+        give an array with the same operand order, so both agree bit for bit.
+        """
+        if isinstance(x, _INTEGER) and isinstance(y, _INTEGER):
+            a = self._lca_scalar(x, y)
+            h = self._euler.heights   # built by the meet above
+            return h[x] + h[y] - 2.0 * h[a]
+        return self._distance_array(self._vertex_array(x), self._vertex_array(y))
+
+    def distance_block(self, xs, ys) -> np.ndarray:
+        """len(xs) x len(ys) array of d(x, y), rows computed PAIR_BLOCK pairs at a time."""
+        xs = self._vertex_array(xs).ravel()
+        ys = self._vertex_array(ys).ravel()
+        out = np.empty((len(xs), len(ys)), dtype=np.float64)
+        for start, block in self._distance_rows(xs, ys):
+            out[start:start + len(block)] = block
+        return out
+
+    def _distance_rows(self, xs: np.ndarray, ys: np.ndarray):
+        """Yield (first row, block) over row chunks of the xs x ys distances."""
+        rows = max(1, PAIR_BLOCK // max(1, len(ys)))
+        for start in range(0, len(xs), rows):
+            yield start, self._distance_array(xs[start:start + rows, None],
+                                              ys[None, :])
 
     def branch_point(self, x: int, y: int, z: int) -> int:
         """Median vertex of x, y, z: the unique point on all three segments."""
@@ -227,15 +284,17 @@ class RootedMetricTree:
 
     def distances_from(self, x: int) -> np.ndarray:
         """Distance from x to every vertex."""
-        return self.height[x] + self.height - 2.0 * self._lca_heights_from(x)
+        x = int(x)
+        if not 0 <= x < self.n:
+            raise TreeError(f"vertex {x} outside vertex range 0..{self.n - 1}")
+        # the full slice indexes every vertex without gathering
+        return self._distance_array(x, slice(None))
 
     def distance_matrix(self, limit: int = 2000) -> np.ndarray:
         if self.n > limit:
             raise TreeError(f"distance matrix capped at {limit} vertices, tree has {self.n}")
-        d = np.zeros((self.n, self.n), dtype=np.float64)
-        for v in range(self.n):
-            d[v] = self.distances_from(v)
-        return d
+        everyone = np.arange(self.n)
+        return self.distance_block(everyone, everyone)
 
     def diameter(self) -> float:
         """Exact diameter via a double farthest-point sweep."""
@@ -353,12 +412,25 @@ class SpeedMeasure:
 
     def ball_mass(self, tree: RootedMetricTree, x: int, radius: float,
                   closed: bool = True) -> float:
-        d = tree.distances_from(x)
-        if closed:
-            sel = d <= radius + FLOAT_SLACK
-        else:
-            sel = d < radius - FLOAT_SLACK
-        return float(self.masses[sel].sum())
+        return float(self.ball_masses(tree, [int(x)], radius, closed)[0])
+
+    def ball_masses(self, tree: RootedMetricTree, centers, radius: float,
+                    closed: bool = True) -> np.ndarray:
+        """Mass of the ball of ``radius`` around each center, one per center.
+
+        Each ball sums ``masses[selected]`` on its own, so a value does not
+        depend on which other centers share its distance block.
+        """
+        centers = tree._vertex_array(centers).ravel()
+        out = np.empty(len(centers), dtype=np.float64)
+        everyone = np.arange(tree.n)
+        for start, block in tree._distance_rows(centers, everyone):
+            if closed:
+                sel = block <= radius + FLOAT_SLACK
+            else:
+                sel = block < radius - FLOAT_SLACK
+            out[start:start + len(block)] = [self.masses[row].sum() for row in sel]
+        return out
 
     def __repr__(self):
         return f"SpeedMeasure(n={len(self)}, total={self.total:.6g})"
@@ -390,14 +462,11 @@ def lower_mass(tree: RootedMetricTree, measure: SpeedMeasure, delta: float,
     if delta < 0:
         raise TreeError("delta must be nonnegative")
     if radius is None:
-        centers = range(tree.n)
+        centers = np.arange(tree.n)
     else:
-        centers = [v for v in range(tree.n) if tree.height[v] < radius - FLOAT_SLACK]
-    best = math.inf
-    for x in centers:
-        val = measure.ball_mass(tree, x, delta, closed=True)
-        if val < best:
-            best = val
+        centers = np.flatnonzero(tree.height < radius - FLOAT_SLACK)
+    masses = measure.ball_masses(tree, centers, delta, closed=True)
+    best = float(masses.min()) if len(masses) else math.inf
     return MassBoundReport(delta=float(delta), radius=radius, value=best)
 
 
@@ -456,47 +525,66 @@ def check_four_point(obj, exhaustive_limit: int = 30, samples: int = 100_000,
     For every quadruple the largest of the three pairings
     d12+d34, d13+d24, d14+d23 must be attained (up to ``tol``) at least
     twice.  Exhaustive up to ``exhaustive_limit`` points, seeded sampling of
-    ``samples`` quadruples beyond that.  The first violating quadruple is
-    reported with its three pairing sums.
+    ``samples`` quadruples beyond that, all drawn up front.  The first
+    violating quadruple (in lexicographic or draw order) is reported with its
+    three pairing sums; ``checked`` counts the quadruples up to and
+    including it.
     """
     if isinstance(obj, RootedMetricTree):
         n = obj.n
-        dist = obj.distance_matrix() if n <= max(exhaustive_limit, 2000) else None
-        getter = (lambda i, j: dist[i, j]) if dist is not None else obj.distance
+        pair = obj.distance
     else:
         mat = np.asarray(obj, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise TreeError("distance matrix must be square")
         n = mat.shape[0]
-        getter = lambda i, j: mat[i, j]
+        pair = lambda i, j: mat[i, j]
 
-    def bad(q):
-        i, j, k, l = q
-        s = sorted((getter(i, j) + getter(k, l),
-                    getter(i, k) + getter(j, l),
-                    getter(i, l) + getter(j, k)))
-        if s[2] - s[1] > tol:
-            return (s[0], s[1], s[2])
-        return None
-
+    exhaustive = n <= exhaustive_limit
+    if exhaustive:
+        blocks = _all_quadruples(n)
+    else:
+        blocks = [_distinct_quadruples(np.random.default_rng(seed), n, samples)]
     checked = 0
-    if n <= exhaustive_limit:
-        from itertools import combinations
+    for quads in blocks:
+        i, j, k, l = quads.T
+        sums = np.sort(np.stack((pair(i, j) + pair(k, l),
+                                 pair(i, k) + pair(j, l),
+                                 pair(i, l) + pair(j, k)), axis=1), axis=1)
+        bad = np.flatnonzero(sums[:, 2] - sums[:, 1] > tol)
+        if len(bad):
+            b = int(bad[0])
+            return FourPointReport(False, checked + b + 1, exhaustive,
+                                   tuple(int(v) for v in quads[b]),
+                                   tuple(float(v) for v in sums[b]))
+        checked += len(quads)
+    return FourPointReport(True, checked, exhaustive)
 
-        for q in combinations(range(n), 4):
-            checked += 1
-            v = bad(q)
-            if v:
-                return FourPointReport(False, checked, True, q, v)
-        return FourPointReport(True, checked, True)
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        q = tuple(int(a) for a in rng.choice(n, size=4, replace=False))
-        checked += 1
-        v = bad(q)
-        if v:
-            return FourPointReport(False, checked, False, q, v)
-    return FourPointReport(True, checked, False)
+
+def _all_quadruples(n: int):
+    """Every 4-subset of range(n) in lexicographic order, PAIR_BLOCK rows at a time."""
+    combos = combinations(range(n), 4)
+    while True:
+        block = np.array(list(islice(combos, PAIR_BLOCK)), dtype=np.int64)
+        if not len(block):
+            return
+        yield block
+
+
+def _distinct_quadruples(rng, n: int, count: int) -> np.ndarray:
+    """``count`` rows of four distinct vertex ids, each row uniform.
+
+    Column c draws a rank among the n - c ids not yet in its row and shifts
+    it past the earlier picks in ascending order.
+    """
+    ranks = rng.integers(0, n - np.arange(4), size=(count, 4))
+    quads = np.empty_like(ranks)
+    for c in range(4):
+        pick = ranks[:, c].copy()
+        for earlier in np.sort(quads[:, :c], axis=1).T:
+            pick += pick >= earlier
+        quads[:, c] = pick
+    return quads
 
 
 # -- restriction, closure, nets, projection ---------------------------------
@@ -539,16 +627,29 @@ def branch_closure(tree: RootedMetricTree, subset: Iterable[int]) -> np.ndarray:
 
     With the root present, the median of any triple is one of the pairwise
     meets, and meets of added points are again meets of original points, so
-    one pass over pairs yields the idempotent closure.
+    adding all pairwise meets yields the idempotent closure.  Those are the
+    meets of neighbours in first-visit order, so one sorted pass suffices:
+    O(k log k) for k vertices.
     """
-    s = {int(v) for v in subset}
-    if tree.root not in s:
+    s = _rooted_subset(tree, subset)
+    order = _euler_sorted(tree, s)
+    return np.union1d(s, tree.lca(order[:-1], order[1:]))
+
+
+def _rooted_subset(tree: RootedMetricTree, subset) -> np.ndarray:
+    """Sorted distinct vertex ids of ``subset``, which must hold the root."""
+    s = np.unique(tree._vertex_array(np.fromiter((int(v) for v in subset),
+                                                 dtype=np.int64)))
+    if not np.any(s == tree.root):
         raise TreeError("subset must contain the root")
-    base = sorted(s)
-    for i, a in enumerate(base):
-        for b in base[i + 1:]:
-            s.add(tree.lca(a, b))
-    return np.array(sorted(s), dtype=np.int64)
+    return s
+
+
+def _euler_sorted(tree: RootedMetricTree, s: np.ndarray) -> np.ndarray:
+    """Vertices of s in order of first visit; the meets of adjacent ones are
+    all the pairwise meets (the virtual-tree construction)."""
+    first = tree._tables().first
+    return s[np.argsort(first[s], kind="stable")]
 
 
 def spanned_subtree(tree: RootedMetricTree, subset: Iterable[int]):
@@ -558,23 +659,17 @@ def spanned_subtree(tree: RootedMetricTree, subset: Iterable[int]):
     lengths are height gaps, so subtree distances agree with ambient ones.
     Returns (subtree, old_ids).
     """
-    s_arr = np.array(sorted({int(v) for v in subset}), dtype=np.int64)
-    s_set = set(int(v) for v in s_arr)
-    if tree.root not in s_set:
-        raise TreeError("subset must contain the root")
-    closed = branch_closure(tree, s_arr)
-    if len(closed) != len(s_arr):
+    s_arr = _rooted_subset(tree, subset)
+    if len(branch_closure(tree, s_arr)) != len(s_arr):
         raise TreeError("subset is not branch closed")
-    new_of = {int(v): i for i, v in enumerate(s_arr)}
+    # in a closed set the meet with the previous vertex in first-visit
+    # order is the deepest proper subset ancestor
+    order = _euler_sorted(tree, s_arr)
+    up = tree.lca(order[:-1], order[1:])
+    new_of = {v: i for i, v in enumerate(s_arr.tolist())}
     parents = {}
     lengths = {}
-    for v in s_arr:
-        v = int(v)
-        if v == tree.root:
-            continue
-        u = int(tree.parent[v])
-        while u not in s_set:
-            u = int(tree.parent[u])
+    for v, u in zip(order[1:].tolist(), up.tolist()):
         parents[new_of[v]] = new_of[u]
         lengths[new_of[v]] = float(tree.height[v] - tree.height[u])
     sub = build_tree(parents, lengths, new_of[tree.root])
@@ -594,7 +689,7 @@ def epsilon_net(tree: RootedMetricTree, eps: float,
         cand = np.arange(tree.n)
     else:
         cand = np.nonzero(tree.height <= radius + FLOAT_SLACK)[0]
-    dist = np.array([tree.distance(tree.root, int(v)) for v in cand])
+    dist = tree.distance(tree.root, cand)
     net = [tree.root]
     while True:
         far = int(np.argmax(dist))
@@ -602,8 +697,7 @@ def epsilon_net(tree: RootedMetricTree, eps: float,
             break
         v = int(cand[far])
         net.append(v)
-        dv = np.array([tree.distance(v, int(u)) for u in cand])
-        dist = np.minimum(dist, dv)
+        dist = np.minimum(dist, tree.distance(v, cand))
     return np.array(sorted(set(net)), dtype=np.int64)
 
 
@@ -618,21 +712,31 @@ class Projection:
 def project_psi(tree: RootedMetricTree, measure: SpeedMeasure,
                 subset: Iterable[int]) -> Projection:
     """Root-ward projection onto a subset and the measure pushforward."""
-    s = {int(v) for v in subset}
-    if tree.root not in s:
-        raise TreeError("subset must contain the root")
-    psi = np.empty(tree.n, dtype=np.int64)
-    for v in range(tree.n):
-        u = v
-        while u not in s:
-            u = int(tree.parent[u])
-        psi[v] = u
+    s = _rooted_subset(tree, subset)
+    in_s = np.zeros(tree.n, dtype=bool)
+    in_s[s] = True
+    psi = _root_ward(tree, in_s)
     pushed = np.zeros(tree.n, dtype=np.float64)
     np.add.at(pushed, psi, measure.masses)
     closed = len(branch_closure(tree, s)) == len(s)
-    disp = max(tree.distance(v, int(psi[v])) for v in range(tree.n))
+    disp = tree.distance(np.arange(tree.n), psi).max()
     return Projection(psi=psi, pushforward=SpeedMeasure(pushed),
                       branch_closed=closed, max_displacement=float(disp))
+
+
+def _root_ward(tree: RootedMetricTree, in_s: np.ndarray) -> np.ndarray:
+    """Deepest marked vertex on each root segment, in one top-down pass.
+
+    First-visit order lists every parent before its children; the root must
+    be marked.
+    """
+    psi = list(range(tree.n))
+    parent = tree.parent.tolist()
+    marked = in_s.tolist()
+    for v in np.argsort(tree._tables().first).tolist():
+        if not marked[v]:
+            psi[v] = psi[parent[v]]
+    return np.array(psi, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -654,31 +758,31 @@ def discretize(tree: RootedMetricTree, measure: SpeedMeasure, eps: float,
     displacement is within eps.  The pushforward then sits within Prohorov
     distance eps of the measure by the obvious coupling.
     """
-    subset = set(int(v) for v in branch_closure(tree, epsilon_net(tree, eps, radius)))
+    h = tree.height
+    reach = eps + FLOAT_SLACK
+    in_s = np.zeros(tree.n, dtype=bool)
+    in_s[branch_closure(tree, epsilon_net(tree, eps, radius))] = True
     if radius is None:
-        scope = list(range(tree.n))
+        scope = np.ones(tree.n, dtype=bool)
     else:
-        scope = [v for v in range(tree.n) if tree.height[v] <= radius + FLOAT_SLACK]
+        scope = h <= radius + FLOAT_SLACK
     for _ in range(tree.n + 1):
-        psi = {}
-        additions = set()
-        for v in scope:
-            u = v
-            while u not in subset:
-                u = int(tree.parent[u])
-            if tree.height[v] - tree.height[u] > eps + FLOAT_SLACK:
-                a = v
-                w = v
-                while w != tree.root:
-                    w = int(tree.parent[w])
-                    if tree.height[v] - tree.height[w] > eps + FLOAT_SLACK:
-                        break
-                    a = w
-                additions.add(a)
-        if not additions:
+        low = np.flatnonzero(scope & (h - h[_root_ward(tree, in_s)] > reach))
+        if not len(low):
             break
-        subset |= set(int(x) for x in branch_closure(tree, subset | additions))
-    sub_arr = np.array(sorted(subset), dtype=np.int64)
+        # climb every violator to its farthest ancestor within eps
+        top = low.copy()
+        climbing = top != tree.root
+        while climbing.any():
+            idx = np.flatnonzero(climbing)
+            up = tree.parent[top[idx]]
+            ok = ~(h[low[idx]] - h[up] > reach)
+            top[idx[ok]] = up[ok]
+            climbing[idx] = ok & (up != tree.root)
+        added = in_s.copy()
+        added[top] = True
+        in_s[branch_closure(tree, np.flatnonzero(added))] = True
+    sub_arr = np.flatnonzero(in_s)
     proj = project_psi(tree, measure, sub_arr)
     return Discretization(subset=sub_arr, psi=proj.psi,
                           pushforward=proj.pushforward,

@@ -107,15 +107,10 @@ class WalkChain:
         return {int(self.states[j]): float(r) for j, r in zip(self.nbr[iu], self.rates[iu])}
 
     def nearest_state(self, vertex: int) -> int:
-        """State closest to a tree vertex, lowest id on ties."""
-        best = None
-        best_d = math.inf
-        for v in self.states:
-            d = self.tree.distance(vertex, int(v))
-            if d < best_d - FLOAT_SLACK or (abs(d - best_d) <= FLOAT_SLACK and (best is None or v < best)):
-                best = int(v)
-                best_d = d
-        return best
+        """State closest to a tree vertex; the lowest id among states within
+        FLOAT_SLACK of the closest distance."""
+        d = self.tree.distance(int(vertex), self.states)
+        return int(self.states[np.flatnonzero(d <= d.min() + FLOAT_SLACK)[0]])
 
     def diameter(self) -> float:
         """Diameter of the state set in the ambient tree metric (double sweep)."""
@@ -123,7 +118,7 @@ class WalkChain:
             return 0.0
         a = int(self.states[0])
         for _ in range(2):
-            dists = [self.tree.distance(a, int(v)) for v in self.states]
+            dists = self.tree.distance(a, self.states)
             j = int(np.argmax(dists))
             far = float(dists[j])
             a = int(self.states[j])

@@ -23,6 +23,7 @@ from treeflow.exact import (
     speed_bound,
     tree_energy,
 )
+from treeflow.harness import stone_level
 from treeflow.tree import SpeedMeasure, build_tree
 from treeflow.walk import StopRule, batch_simulate, build_chain
 from conftest import path_tree, random_masses, random_tree
@@ -298,6 +299,16 @@ class TestHeatKernel:
         stat = chain.mass / chain.total_mass
         assert np.allclose(hk.law(30.0), stat, atol=1e-6)
         assert hk.mass_defect() <= 1e-10
+
+    def test_stalled_series_terminates(self):
+        # at L t ~ 8598 the Poisson sum stalls just below 1 - 1e-12 in
+        # floating point while the weights underflow to zero
+        tree, measure, _ = stone_level(16)
+        chain = build_chain(tree, measure)
+        hk = heat_kernel(chain, tree.root, (0.25, 1.0))
+        a = hk.uniformization_rate * 1.0
+        assert hk.terms <= a + 39.0 * math.sqrt(a) + 499.0
+        assert np.allclose(hk.laws.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
     def test_l2_norm_below_ceiling(self, rng):
         for _ in range(6):

@@ -277,10 +277,10 @@ class TestRunners:
         assert len(report["records"]) == len(art.suite.records)
 
     def test_verify_scale_validation(self, tmp_path):
-        cfg = tiny("verify", family={"scale": 2.0},
-                   output_dir=str(tmp_path / "v"))
+        # rejected where the config is built, before any run
         with pytest.raises(ConfigError, match="scale"):
-            run_experiment(cfg, write=False)
+            tiny("verify", family={"scale": 2.0},
+                 output_dir=str(tmp_path / "v"))
 
     def test_stone_small(self, tmp_path):
         cfg = tiny("stone", family={"span_exponent": 2, "reference_level": 8},
@@ -296,10 +296,9 @@ class TestRunners:
         assert all(not row["flagged"] for row in art.tables["spaces"])
 
     def test_stone_reference_must_divide(self, tmp_path):
-        cfg = tiny("stone", family={"span_exponent": 2, "reference_level": 9},
-                   n_list=(2,), output_dir=str(tmp_path / "s"))
         with pytest.raises(ConfigError, match="reference_level"):
-            run_experiment(cfg, write=False)
+            tiny("stone", family={"span_exponent": 2, "reference_level": 9},
+                 n_list=(2,), output_dir=str(tmp_path / "s"))
 
     def test_stone_level_measure_is_midpoint_rule(self):
         tree, measure, pos = stone_level(2, span_exponent=2)
@@ -335,6 +334,13 @@ class TestRunners:
         for row in art.tables["distances"]:
             assert row["states"] > 0 and row["kr"] >= 0
 
+    def test_crt_with_512_knots_finishes(self, tmp_path):
+        # the heat-kernel series used to stall below 1 - 1e-12 at level n=8
+        cfg = tiny("crt", family={"knots": 512}, output_dir=str(tmp_path / "c"))
+        art = run_experiment(cfg, write=False)
+        assert art.all_passed
+        assert [r["n"] for r in art.tables["distances"]] == [4, 4, 8, 8, 16, 16]
+
     def test_entrance_demo_small(self, tmp_path):
         cfg = tiny("binary-entrance", n_list=(2, 3, 4), replicates=600,
                    output_dir=str(tmp_path / "e"))
@@ -367,10 +373,9 @@ class TestRunners:
             assert art.all_passed, family
 
     def test_coalescent_rejects_bad_input(self, tmp_path):
-        cfg = tiny("coalescent", family={"kind": "unknown"}, n_list=(4,),
-                   output_dir=str(tmp_path / "x"))
         with pytest.raises(ConfigError, match="kind"):
-            run_experiment(cfg, write=False)
+            tiny("coalescent", family={"kind": "unknown"}, n_list=(4,),
+                 output_dir=str(tmp_path / "x"))
         cfg = tiny("coalescent", n_list=(1,), output_dir=str(tmp_path / "x"))
         with pytest.raises(ConfigError, match="at least 2"):
             run_experiment(cfg, write=False)
@@ -443,6 +448,34 @@ class TestCLI:
         assert report["master_seed"] == 7
         assert not (tmp_path / "ignored").exists()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("experiment, family, key", [
+        ("crt", {"knots": "abc"}, "knots"),
+        ("crt", {"knots": -4}, "knots"),
+        ("kesten", {"horizon": -1}, "horizon"),
+        ("coalescent", {"kind": "beta"}, "family.a"),
+        ("stone", {"reference_level": 100}, "reference_level"),
+        ("fdd", {"mass_floor": "x"}, "mass_floor"),
+    ])
+    def test_bad_family_value_exits_two(self, tmp_path, capsys, experiment,
+                                        family, key):
+        path = self._config(tmp_path, experiment, family=family,
+                            output_dir=str(tmp_path / "out"))
+        rc = cli_main([experiment, "--config", path])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config error" in err and key in err
+        assert not (tmp_path / "out").exists()
+
+    def test_crash_exits_three(self, tmp_path, capsys, monkeypatch):
+        def boom(config, write=True, dump_paths=False):
+            raise RuntimeError("solver exploded")
+
+        monkeypatch.setattr("treeflow.cli.run_experiment", boom)
+        rc = cli_main(["fdd", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "fdd crashed: RuntimeError: solver exploded" in err
 
     def test_unknown_experiment_rejected_by_parser(self):
         with pytest.raises(SystemExit):

@@ -5,6 +5,7 @@ import pytest
 
 from treeflow.tree import (
     FLOAT_SLACK,
+    _distinct_quadruples,
     MeasureError,
     SpeedMeasure,
     TreeError,
@@ -22,6 +23,8 @@ from treeflow.tree import (
     save_tree,
     spanned_subtree,
 )
+
+from treeflow.measures import hausdorff_distance
 
 from conftest import floyd_warshall_distances, path_tree, random_masses, random_tree
 
@@ -103,6 +106,117 @@ class TestDistance:
         assert t.distance(0, 200) == pytest.approx(100.0, abs=1e-9)
         assert t.distance(40, 160) == pytest.approx(60.0, abs=1e-9)
         assert t.diameter() == pytest.approx(100.0, abs=1e-9)
+
+
+class TestBatchedKernel:
+    """The batched queries against scalar and independent oracles."""
+
+    @staticmethod
+    def trees(rng):
+        return [random_tree(rng, n) for n in (1, 2, 7, 15, 40)] + [path_tree([0.5] * 200)]
+
+    def test_batched_lca_matches_scalar(self, rng):
+        for t in self.trees(rng):
+            xs = rng.integers(0, t.n, size=300)
+            ys = rng.integers(0, t.n, size=300)
+            got = t.lca(xs, ys)
+            assert got.dtype == np.int64
+            assert got.tolist() == [t.lca(int(x), int(y)) for x, y in zip(xs, ys)]
+
+    def test_batched_distance_is_bit_equal_to_rows(self, rng):
+        for t in self.trees(rng):
+            everyone = np.arange(t.n)
+            block = t.distance_block(everyone, everyone)
+            for x in range(t.n):
+                assert np.array_equal(t.distance(x, everyone), t.distances_from(x))
+                assert np.array_equal(block[x], t.distances_from(x))
+            xs = rng.integers(0, t.n, size=200)
+            ys = rng.integers(0, t.n, size=200)
+            assert t.distance(xs, ys).tolist() == [
+                t.distance(int(x), int(y)) for x, y in zip(xs, ys)]
+
+    def test_batched_distance_against_floyd_warshall(self, rng):
+        for t in self.trees(rng):
+            d = floyd_warshall_distances(t)
+            everyone = np.arange(t.n)
+            got = t.distance(everyone[:, None], everyone[None, :])
+            assert np.max(np.abs(got - d)) <= 1e-10
+
+    def test_bad_vertices_rejected(self, rng):
+        t = random_tree(rng, 6)
+        with pytest.raises(TreeError, match="vertex 6"):
+            t.lca(0, 6)
+        with pytest.raises(TreeError, match="vertex -1"):
+            t.distance(np.array([0, -1]), np.array([1, 2]))
+        with pytest.raises(TreeError, match="integers"):
+            t.distance(np.array([0.5]), np.array([1]))
+
+    def test_hausdorff_matches_double_loop(self, rng):
+        for _ in range(5):
+            t = random_tree(rng, 25)
+            a = [int(v) for v in rng.choice(t.n, size=int(rng.integers(1, 9)), replace=False)]
+            b = [int(v) for v in rng.choice(t.n, size=int(rng.integers(1, 9)), replace=False)]
+            worst = 0.0
+            for u in a:
+                worst = max(worst, min(t.distance(u, v) for v in b))
+            for v in b:
+                worst = max(worst, min(t.distance(u, v) for u in a))
+            assert hausdorff_distance(t, a, b) == worst
+
+    def test_lower_mass_matches_per_center_loop(self, rng):
+        for _ in range(4):
+            t = random_tree(rng, 30)
+            m = random_masses(rng, t.n)
+            for delta, radius in ((0.4, None), (1.1, 2.0), (0.0, 1.5)):
+                best = math.inf
+                for x in range(t.n):
+                    if radius is not None and not t.height[x] < radius - FLOAT_SLACK:
+                        continue
+                    ball = float(m.masses[t.distances_from(x) <= delta + FLOAT_SLACK].sum())
+                    assert m.ball_mass(t, x, delta) == ball
+                    best = min(best, ball)
+                assert lower_mass(t, m, delta, radius=radius).value == best
+
+    def test_branch_closure_matches_pairwise_meets(self, rng):
+        for _ in range(8):
+            t = random_tree(rng, 30)
+            base = sorted({0} | {int(v) for v in rng.integers(0, t.n, size=int(rng.integers(1, 12)))})
+            direct = set(base)
+            for i, a in enumerate(base):
+                for b in base[i + 1:]:
+                    direct.add(t.lca(a, b))
+            got = branch_closure(t, base)
+            assert got.tolist() == sorted(direct)
+
+    def test_sampled_quadruples_are_distinct_and_uniform(self):
+        quads = _distinct_quadruples(np.random.default_rng(11), 6, 36_000)
+        assert quads.min() >= 0 and quads.max() < 6
+        assert all(len(set(q)) == 4 for q in quads.tolist())
+        # 360 ordered 4-tuples from 6 ids, 100 expected draws each
+        _, counts = np.unique(quads, axis=0, return_counts=True)
+        assert len(counts) == 360
+        chi2 = float(((counts - 100.0) ** 2 / 100.0).sum())
+        assert chi2 < 359 + 6 * math.sqrt(2 * 359)
+
+    def test_sampled_four_point_witness_is_first_in_draw_order(self, rng):
+        t = random_tree(rng, 40)
+        d = t.distance_matrix()
+        d[1, 4] += 0.5
+        d[4, 1] += 0.5
+        rep = check_four_point(d, exhaustive_limit=10, samples=2000, seed=5)
+        assert not rep.ok and not rep.exhaustive
+        assert len(set(rep.quadruple)) == 4
+        assert {1, 4} <= set(rep.quadruple)
+        i, j, k, l = rep.quadruple
+        sums = sorted((d[i, j] + d[k, l], d[i, k] + d[j, l], d[i, l] + d[j, k]))
+        assert list(rep.sums) == sums and sums[2] - sums[1] > 1e-9
+        assert 1 < rep.checked <= 2000
+        # the draws are a prefix-stable stream: stopping at the witness
+        # finds it again, stopping one draw earlier finds nothing
+        again = check_four_point(d, exhaustive_limit=10, samples=rep.checked, seed=5)
+        assert (again.quadruple, again.checked) == (rep.quadruple, rep.checked)
+        before = check_four_point(d, exhaustive_limit=10, samples=rep.checked - 1, seed=5)
+        assert before.ok and before.checked == rep.checked - 1
 
 
 class TestBranchPoint:
