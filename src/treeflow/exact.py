@@ -60,7 +60,7 @@ def occupation_functional(tree: RootedMetricTree, measure: SpeedMeasure,
     total = 0.0
     for term in terms:       # summed in vertex order, like the scalar formula
         total += term
-    return total
+    return float(total)
 
 
 def occupation_solve(chain: WalkChain, x: int, y: int, f=None) -> float:
@@ -356,13 +356,17 @@ def heat_kernel(chain: WalkChain, start: int, times) -> HeatKernelResult:
     weights only fall.  The Chernoff bound on the Poisson tail puts that
     underflow (log weight below -746) within a + 39 sqrt(a) + 498, so
 
-        terms <= a_max + 39 * sqrt(a_max) + 499,   a_max = L * max(times).
+        terms <= a_max + 39 * sqrt(a_max) + 499,   a_max = L * max(times),
+
+    for finite nonnegative times; others raise OracleError.
     """
     if start not in chain.index:
         raise OracleError(f"start vertex {start} is not a chain state")
     tlist = [float(t) for t in times]
-    if not tlist or any(t < 0 for t in tlist):
-        raise OracleError("times must be nonnegative and nonempty")
+    bad = [t for t in tlist if not (math.isfinite(t) and t >= 0)]
+    if not tlist or bad:
+        raise OracleError("times must be finite, nonnegative and nonempty, "
+                          f"got {bad or tlist}")
     n = chain.n_states
     lam = 1.1 * float(chain.exit_rate.max())
     rows, cols, vals = [], [], []

@@ -152,16 +152,17 @@ class ExperimentConfig:
         if not self.n_list:
             raise ConfigError("n_list: must be nonempty")
         for n in self.n_list:
-            if not isinstance(n, int) or n < 1:
+            if _integer_from(1)(n):
                 raise ConfigError(f"n_list: sizes must be positive integers, got {n!r}")
         for t in self.times:
-            if not isinstance(t, (int, float)) or t <= 0:
-                raise ConfigError(f"times: entries must be positive numbers, got {t!r}")
+            if _positive(t):
+                raise ConfigError(f"times: entries must be positive finite numbers, got {t!r}")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ConfigError("times: must be strictly increasing")
-        if not isinstance(self.replicates, int) or self.replicates < 1:
+        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+        if _integer_from(1)(self.replicates):
             raise ConfigError("replicates: must be a positive integer")
-        if not isinstance(self.master_seed, int) or not 0 <= self.master_seed < 2 ** 64:
+        if _integer_from(0)(self.master_seed) or self.master_seed >= 2 ** 64:
             raise ConfigError("master_seed: must be an integer in [0, 2^64)")
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError("output_dir: must be a nonempty path")
@@ -208,7 +209,7 @@ class ExperimentConfig:
             experiment=data["experiment"],
             family=data["family"],
             n_list=tuple(data["n_list"]),
-            times=tuple(float(t) for t in data["times"]),
+            times=tuple(data["times"]),
             replicates=data["replicates"],
             master_seed=data["master_seed"],
             output_dir=data["output_dir"],
@@ -775,13 +776,10 @@ def _stone_reference_ids(n: int, ref: int, span_exponent: int):
     return ids
 
 
-def _law_measure(chain: WalkChain, law: np.ndarray, coords) -> FiniteAtomMeasure:
-    pairs = {}
-    for j, s in enumerate(chain.states):
-        w = float(law[j])
-        if w > 0:
-            pairs[coords[int(s)]] = pairs.get(coords[int(s)], 0.0) + w
-    return FiniteAtomMeasure.from_dict(pairs)
+def _law_measure(chain: WalkChain, law: np.ndarray, ids) -> FiniteAtomMeasure:
+    """Chain law with the atom of each state at vertex ``ids[state]``."""
+    return FiniteAtomMeasure.from_dict(
+        {ids[int(s)]: float(law[j]) for j, s in enumerate(chain.states)})
 
 
 def _line_chain_laws(chain: WalkChain, start: int, times,
@@ -860,8 +858,8 @@ def _run_stone(config: ExperimentConfig, write: bool) -> RunArtifacts:
     ref_tree, ref_measure, ref_pos = stone_level(ref_level, span)
     ref_chain = build_chain(ref_tree, ref_measure)
     ref_rows = _line_chain_laws(ref_chain, ref_tree.root, times, ref_pos)
-    line = lambda a, b: abs(a - b)
-    ref_laws = [_law_measure(ref_chain, ref_rows[j], ref_pos)
+    dist = tree_metric(ref_tree)
+    ref_laws = [_law_measure(ref_chain, ref_rows[j], range(ref_tree.n))
                 for j in range(len(times))]
     rows = []
     table = {}
@@ -870,23 +868,23 @@ def _run_stone(config: ExperimentConfig, write: bool) -> RunArtifacts:
         tree, measure, pos = stone_level(n, span)
         chain = build_chain(tree, measure)
         law_rows = _line_chain_laws(chain, tree.root, times, pos)
+        ids = _stone_reference_ids(n, ref_level, span)
         for j, t in enumerate(times):
-            law = _law_measure(chain, law_rows[j], pos)
-            support = sorted(set(law.points) | set(ref_laws[j].points))
-            kr = kr_distance(law, ref_laws[j], line, path_order=support)
+            # atoms sit on their reference-lattice twins, so shared ones merge
+            law = _law_measure(chain, law_rows[j], ids.tolist())
+            kr = kr_distance(law, ref_laws[j], dist)
             table[(n, t)] = kr
             rows.append({"n": n, "time": float(t), "kr": kr,
                          "reference_level": ref_level})
-        ids = _stone_reference_ids(n, ref_level, span)
         pushed = np.zeros(ref_tree.n)
         np.add.at(pushed, ids, measure.masses)
         approximations.append((f"n={n}", SpeedMeasure(pushed)))
     # radii off the lattice: no vertex height is 2^span * 0.3 or 0.6, so the
-    # boundary-tie flag stays quiet.  Line coordinates switch both distances
-    # onto their sweep fast paths.
+    # boundary-tie flag stays quiet.  The lattice is a path, so Prohorov
+    # runs on its sweep.
     radii = [0.3 * 2.0 ** span, 0.6 * 2.0 ** span]
     spaces = gh_vague_report(ref_tree, ref_measure, approximations, radii,
-                             delta, line_coords=ref_pos)
+                             delta)
     records = _trend_records("stone", times, list(config.n_list), table,
                              "deterministic")
     suite = SuiteResult("stone", config.master_seed, records)

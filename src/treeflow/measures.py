@@ -9,7 +9,8 @@ Two notions of distance drive all comparisons:
   reaches it), scanning the windows between consecutive pairwise distances.
 * Bounded-Lipschitz dual (Kantorovich-Rubinstein style): sup of the signed
   integral over functions with |f| <= 1 that contract distances, computed
-  as a linear program.  Finite for measures of different totals, which is
+  as a linear program; on a tree its constraints sit on the edges of the
+  spanned subtree.  Finite for measures of different totals, which is
   what restriction to growing balls produces.
 
 Both have tiny brute-force twins used only as test oracles.
@@ -35,6 +36,8 @@ from .tree import (
     MeasureError,
     RootedMetricTree,
     SpeedMeasure,
+    _euler_sorted,
+    branch_closure,
     lower_mass,
 )
 
@@ -103,8 +106,8 @@ def empirical_law(samples) -> FiniteAtomMeasure:
 class TreeMetric:
     """The metric of a tree on its vertex ids, as a callable d(u, v).
 
-    The distances here recognize it and ask the tree for all the pair
-    distances they need in one batched query.
+    The distances here recognize it and read the tree: batched pair
+    distances, a sweep when the tree is a path, edges for KR.
     """
 
     tree: RootedMetricTree
@@ -213,9 +216,20 @@ def _interval_flow(pos_mu, w_mu, pos_nu, w_nu, eps: float) -> float:
     return shipped
 
 
+def _path_positions(tree: RootedMetricTree) -> Optional[np.ndarray]:
+    """d(end, v) for every v when the tree is a path, else None.
+
+    In a path the root has at most two children and every other vertex at
+    most one; the deepest vertex is then an end.
+    """
+    kids = np.bincount(tree.parent, minlength=tree.n)
+    kids[tree.root] -= 2      # its own parent, and allowed a second child
+    return None if kids.max() > 1 else tree.distances_from(
+        int(np.argmax(tree.height)))
+
+
 def prohorov(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist,
-             dists: Optional[np.ndarray] = None,
-             coords: Optional[tuple] = None) -> float:
+             dists: Optional[np.ndarray] = None) -> float:
     """Prohorov distance, exact up to float slack.
 
     Between consecutive pairwise distances the admissible pair set is
@@ -227,24 +241,19 @@ def prohorov(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist,
     what makes near-aligned measures with large supports cheap.
 
     ``dists``, when given, is the precomputed len(mu) x len(nu) distance
-    array and ``dist`` is not called.  ``coords``, when given, is a pair of
-    arrays placing the atoms of mu and nu on a line so that
-    dist(p, q) == |coord(p) - coord(q)|; feasibility then runs through the
-    sweep-line greedy instead of the generic flow solver.
+    array and ``dist`` is not called.  When ``dist`` is a :class:`TreeMetric`
+    whose tree is a path, feasibility runs through the sweep-line greedy on
+    positions along the path instead of the generic flow solver.
     """
     if len(mu) == 0 and len(nu) == 0:
         return 0.0
     top = max(mu.total, nu.total)
-    if coords is not None:
-        pos_mu = np.asarray(coords[0], dtype=np.float64)
-        pos_nu = np.asarray(coords[1], dtype=np.float64)
-        if pos_mu.shape != (len(mu),) or pos_nu.shape != (len(nu),):
-            raise MeasureError("coords must align with the two supports")
+    line = None
+    if isinstance(dist, TreeMetric):
+        ids_mu, ids_nu = _vertex_ids(mu.points), _vertex_ids(nu.points)
+        line = _path_positions(dist.tree)
         if dists is None:
-            dists = np.abs(pos_mu[:, None] - pos_nu[None, :])
-    if dists is None and isinstance(dist, TreeMetric):
-        dists = dist.tree.distance_block(_vertex_ids(mu.points),
-                                         _vertex_ids(nu.points))
+            dists = dist.tree.distance_block(ids_mu, ids_nu)
     if dists is None:
         dists = np.array([[dist(p, q) for q in nu.points] for p in mu.points],
                          dtype=np.float64)
@@ -265,8 +274,9 @@ def prohorov(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist,
     def flow_at(k: int) -> float:
         if k not in flows:
             eps = cuts[k] + FLOAT_SLACK
-            if coords is not None:
-                flows[k] = _interval_flow(pos_mu, mu_w, pos_nu, nu_w, eps)
+            if line is not None:
+                flows[k] = _interval_flow(line[ids_mu], mu_w, line[ids_nu],
+                                          nu_w, eps)
             else:
                 m = int(np.searchsorted(dvals, eps, side="right"))
                 flows[k] = _dinic_flow(len(mu), len(nu), mu_w, nu_w,
@@ -337,16 +347,31 @@ def prohorov_bruteforce(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist,
 
 # ------------------------------------------------- bounded-Lipschitz duality
 
-def kr_distance(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist,
-                path_order: Optional[Sequence] = None) -> float:
+# HiGHS's default 1e-7 feasibility tolerances cost digits at thousands of atoms
+_LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
+               "dual_feasibility_tolerance": 1e-10}
+
+
+def kr_distance(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist) -> float:
     """sup { integral f d(mu - nu) : |f| <= 1, |f(p) - f(q)| <= d(p, q) }.
 
-    ``path_order`` lists the support in order along an isometrically
-    embedded path; then only adjacent constraints are imposed, which is
-    equivalent when distances add along the order and keeps the program
-    linear in the support size.
+    For a :class:`TreeMetric`, f lives on the branch closure of the support
+    and the root, and only the edges of the subtree it spans are
+    constrained: geodesics run along them (Evans & Matsen, JRSS-B 74(3),
+    2012).  Any other callable constrains all pairs.
     """
     support = list(dict.fromkeys(list(mu.points) + list(nu.points)))
+    if isinstance(dist, TreeMetric):
+        tree = dist.tree
+        closed = branch_closure(tree, np.append(_vertex_ids(support), tree.root))
+        # each vertex's deepest closure ancestor is its meet with the
+        # previous vertex in first-visit order, as in spanned_subtree
+        order = _euler_sorted(tree, closed)
+        up = tree.lca(order[:-1], order[1:])
+        pi = np.searchsorted(closed, order[1:])
+        pj = np.searchsorted(closed, up)
+        d = tree.height[order[1:]] - tree.height[up]
+        support = closed.tolist()
     n = len(support)
     if n == 0:
         return 0.0
@@ -358,20 +383,8 @@ def kr_distance(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist,
         w[pos[p]] -= m
     if n == 1:
         return float(abs(w[0]))
-
-    if path_order is not None:
-        order = [pos[p] for p in path_order if p in pos]
-        if len(order) != n:
-            raise MeasureError("path_order must cover the whole support")
-        pi = np.array(order[:-1], dtype=np.int64)
-        pj = np.array(order[1:], dtype=np.int64)
-    else:
+    if not isinstance(dist, TreeMetric):
         pi, pj = np.triu_indices(n, 1)
-
-    if isinstance(dist, TreeMetric):
-        ids = _vertex_ids(support)
-        d = dist.tree.distance(ids[pi], ids[pj])
-    else:
         d = np.array([dist(support[i], support[j]) for i, j in zip(pi, pj)],
                      dtype=np.float64)
     # pair k gives rows 2k (f_i - f_j <= d) and 2k + 1 (f_j - f_i <= d)
@@ -381,7 +394,8 @@ def kr_distance(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist,
     vals = np.tile([1.0, -1.0, -1.0, 1.0], len(pi))
     rhs = np.repeat(d, 2)
     a_ub = sp.csr_matrix((vals, (rows_i, rows_j)), shape=(2 * len(pi), n))
-    res = linprog(-w, A_ub=a_ub, b_ub=rhs, bounds=(-1.0, 1.0), method="highs")
+    res = linprog(-w, A_ub=a_ub, b_ub=rhs, bounds=(-1.0, 1.0), method="highs",
+                  options=_LP_OPTIONS)
     if not res.success:
         raise MeasureError(f"dual program failed: {res.message}")
     return float(-res.fun)
@@ -519,24 +533,15 @@ def _ball_measure(tree: RootedMetricTree, measure: SpeedMeasure, radius: float) 
 
 def gh_vague_report(tree: RootedMetricTree, limit_measure: SpeedMeasure,
                     approximations: Sequence, radii: Sequence[float],
-                    delta: float,
-                    line_coords: Optional[np.ndarray] = None) -> ConvergenceReport:
+                    delta: float) -> ConvergenceReport:
     """Rows of (support Hausdorff, Prohorov, dual gap, mass floor) per radius.
 
     ``approximations`` is a list of (label, SpeedMeasure) pairs on the same
     ambient tree as the limit.  A radius is flagged when the limit measure
     charges a vertex sitting on the boundary sphere within geometric
     tolerance; restriction is unstable against such ties.
-
-    ``line_coords``, an array of one coordinate per vertex with
-    d(u, v) == |coord(u) - coord(v)|, marks the tree as an isometric line
-    embedding; both distances then use their line fast paths.
     """
     dist = tree_metric(tree)
-    if line_coords is not None:
-        line_coords = np.asarray(line_coords, dtype=np.float64)
-        if line_coords.shape != (tree.n,):
-            raise MeasureError("line_coords must give one coordinate per vertex")
     report = ConvergenceReport()
     for radius in radii:
         target = _ball_measure(tree, limit_measure, radius)
@@ -545,21 +550,13 @@ def gh_vague_report(tree: RootedMetricTree, limit_measure: SpeedMeasure,
                               & (np.abs(tree.height - radius) <= GEOM_TOL)))
         for label, approx in approximations:
             got = _ball_measure(tree, approx, radius)
-            got_idx = _vertex_ids(got.points)
-            dmat = tree.distance_block(got_idx, tgt_idx)
-            order = None
-            coords = None
-            if line_coords is not None:
-                inside = sorted(set(got.points) | set(target.points),
-                                key=lambda p: line_coords[p])
-                order = inside
-                coords = (line_coords[got_idx], line_coords[tgt_idx])
+            dmat = tree.distance_block(_vertex_ids(got.points), tgt_idx)
             report.rows.append(ConvergenceRow(
                 label=str(label),
                 radius=float(radius),
                 hausdorff=_block_hausdorff(dmat),
-                prohorov=prohorov(got, target, dist, dists=dmat, coords=coords),
-                kr=kr_distance(got, target, dist, path_order=order),
+                prohorov=prohorov(got, target, dist, dists=dmat),
+                kr=kr_distance(got, target, dist),
                 m_delta=lower_mass(tree, approx, delta, radius=radius).value,
                 flagged=flagged,
             ))

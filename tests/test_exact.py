@@ -300,6 +300,12 @@ class TestHeatKernel:
         assert np.allclose(hk.law(30.0), stat, atol=1e-6)
         assert hk.mass_defect() <= 1e-10
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+    def test_non_finite_time_rejected(self, bad):
+        chain = build_chain(path_tree([1.0]), SpeedMeasure([1.0, 1.0]))
+        with pytest.raises(OracleError, match=repr(bad)):
+            heat_kernel(chain, 0, [0.5, bad])
+
     def test_stalled_series_terminates(self):
         # at L t ~ 8598 the Poisson sum stalls just below 1 - 1e-12 in
         # floating point while the weights underflow to zero

@@ -4,6 +4,7 @@ Monte Carlo assertions run at pinned seeds, so they are deterministic;
 tolerances are the same 3-4 sigma bands the harness itself uses.
 """
 
+import csv
 import json
 import os
 
@@ -350,6 +351,17 @@ class TestRunners:
         for row in art.tables["entrance"]:
             assert row["exact"] <= row["bound"]
 
+    def test_entrance_csv_cells_are_plain_floats(self, tmp_path):
+        cfg = tiny("binary-entrance", n_list=(2, 3), replicates=50,
+                   output_dir=str(tmp_path / "e"))
+        run_experiment(cfg, write=True)
+        with open(tmp_path / "e" / "entrance.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for row in rows:
+            for key in ("exact", "formula", "bound", "mc_mean", "mc_se"):
+                float(row[key])
+
     def test_kesten_small_with_paths(self, tmp_path):
         cfg = tiny("kesten", n_list=(8,), replicates=40, times=(0.1, 0.3),
                    output_dir=str(tmp_path / "k"))
@@ -465,6 +477,27 @@ class TestCLI:
         err = capsys.readouterr().err
         assert rc == 2
         assert "config error" in err and key in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, raw", [
+        ("times", '["x"]'),
+        ("times", "[0.25, null]"),
+        ("times", "[0.25, 1e999]"),
+        ("times", "[true]"),
+        ("n_list", "[true]"),
+        ("replicates", "true"),
+        ("master_seed", "true"),
+    ])
+    def test_bad_top_level_value_exits_two(self, tmp_path, capsys, field, raw):
+        blob = json.loads(ExperimentConfig.default("fdd").to_json())
+        blob[field] = "@"
+        blob["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "fdd.json"
+        path.write_text(json.dumps(blob).replace('"@"', raw))
+        rc = cli_main(["fdd", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"config error: {field}:" in err
         assert not (tmp_path / "out").exists()
 
     def test_crash_exits_three(self, tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from treeflow import measures
 from treeflow.measures import (
     ConvergenceReport,
     FiniteAtomMeasure,
@@ -20,12 +21,26 @@ from treeflow.measures import (
     prohorov_bruteforce,
     tree_metric,
 )
-from treeflow.tree import MeasureError, SpeedMeasure, build_tree, lower_mass
+from treeflow.tree import (
+    MeasureError,
+    SpeedMeasure,
+    branch_closure,
+    build_tree,
+    lower_mass,
+)
 from conftest import path_tree, random_masses, random_tree
 
 
 def line_dist(a, b):
     return abs(float(a) - float(b))
+
+
+def line_tree(xs, root):
+    """Path through increasing positions xs, rooted at index ``root``."""
+    parents = {i: i + 1 if i < root else i - 1
+               for i in range(len(xs)) if i != root}
+    lengths = {i: float(abs(xs[i] - xs[p])) for i, p in parents.items()}
+    return build_tree(parents, lengths, root)
 
 
 def dirac(p, w=1.0):
@@ -106,34 +121,56 @@ class TestProhorov:
             prohorov(nu, mu, line_dist), abs=1e-10)
 
     def test_line_sweep_matches_generic_solver(self, rng):
-        # same instances through the interval greedy and the flow network
+        # tree_metric(path) runs the interval greedy; a plain callable on
+        # the same path runs the flow network
         for _ in range(25):
-            na, nb = rng.integers(1, 9), rng.integers(1, 9)
-            pa = rng.uniform(0.0, 6.0, size=na)
-            pb = rng.uniform(0.0, 6.0, size=nb)
-            mu = FiniteAtomMeasure(tuple(float(x) for x in pa),
-                                   tuple(rng.uniform(0.05, 1.2, size=na)))
-            nu = FiniteAtomMeasure(tuple(float(x) for x in pb),
-                                   tuple(rng.uniform(0.05, 1.2, size=nb)))
-            fast = prohorov(mu, nu, line_dist, coords=(pa, pb))
-            slow = prohorov(mu, nu, line_dist)
+            m = int(rng.integers(2, 13))
+            path = line_tree(np.sort(rng.uniform(0.0, 6.0, size=m)),
+                             int(rng.integers(0, m)))
+            na, nb = rng.integers(1, min(m, 8) + 1, size=2)
+            mu = FiniteAtomMeasure(
+                tuple(int(v) for v in rng.choice(m, size=na, replace=False)),
+                tuple(rng.uniform(0.05, 1.2, size=na)))
+            nu = FiniteAtomMeasure(
+                tuple(int(v) for v in rng.choice(m, size=nb, replace=False)),
+                tuple(rng.uniform(0.05, 1.2, size=nb)))
+            fast = prohorov(mu, nu, tree_metric(path))
+            slow = prohorov(mu, nu, lambda p, q: path.distance(p, q))
             assert fast == pytest.approx(slow, abs=1e-10)
 
     def test_line_sweep_matches_bruteforce(self, rng):
         for _ in range(20):
+            path = line_tree(np.arange(20.0), int(rng.integers(0, 20)))
             na, nb = rng.integers(1, 5), rng.integers(1, 5)
-            pa = rng.choice(20, size=na, replace=False).astype(float)
-            pb = rng.choice(20, size=nb, replace=False).astype(float)
-            mu = FiniteAtomMeasure(tuple(pa), tuple(rng.uniform(0.1, 1.0, na)))
-            nu = FiniteAtomMeasure(tuple(pb), tuple(rng.uniform(0.1, 1.0, nb)))
-            fast = prohorov(mu, nu, line_dist, coords=(pa, pb))
-            slow = prohorov_bruteforce(mu, nu, line_dist)
+            mu = FiniteAtomMeasure(
+                tuple(int(v) for v in rng.choice(20, size=na, replace=False)),
+                tuple(rng.uniform(0.1, 1.0, na)))
+            nu = FiniteAtomMeasure(
+                tuple(int(v) for v in rng.choice(20, size=nb, replace=False)),
+                tuple(rng.uniform(0.1, 1.0, nb)))
+            fast = prohorov(mu, nu, tree_metric(path))
+            slow = prohorov_bruteforce(mu, nu, lambda p, q: path.distance(p, q))
             assert fast == pytest.approx(slow, abs=1e-8)
 
-    def test_coords_must_align(self):
-        mu = FiniteAtomMeasure((0.0, 1.0), (0.5, 0.5))
-        with pytest.raises(MeasureError):
-            prohorov(mu, mu, line_dist, coords=(np.zeros(3), np.zeros(2)))
+    @pytest.mark.parametrize("parents, is_path", [
+        ({1: 0, 2: 1, 3: 2}, True),            # rooted at an end
+        ({1: 0, 2: 1, 3: 0, 4: 3}, True),      # rooted inside
+        ({1: 0, 2: 0, 3: 0}, False),           # root with three children
+        ({1: 0, 2: 1, 3: 1}, False),           # inner vertex with two children
+    ])
+    def test_sweep_runs_exactly_on_paths(self, monkeypatch, parents, is_path):
+        t = build_tree(parents, {v: 0.5 + 0.25 * v for v in parents}, root=0)
+        n = len(parents) + 1
+        mu = FiniteAtomMeasure(tuple(range(n)), (1.0 / n,) * n)
+        nu = FiniteAtomMeasure((n - 1, 0), (0.7, 0.3))
+        want = prohorov_bruteforce(mu, nu, lambda p, q: t.distance(p, q))
+
+        def refuse(*args):
+            raise AssertionError("wrong feasibility solver")
+
+        monkeypatch.setattr(measures, "_dinic_flow" if is_path else
+                            "_interval_flow", refuse)
+        assert prohorov(mu, nu, tree_metric(t)) == pytest.approx(want, abs=1e-8)
 
 
 class TestDualDistance:
@@ -154,21 +191,57 @@ class TestDualDistance:
             assert kr_distance(mu, nu, line_dist) == pytest.approx(
                 kr_bruteforce(mu, nu, line_dist), abs=1e-8)
 
-    def test_path_order_matches_full_program(self, rng):
-        for _ in range(10):
-            pts = sorted(float(x) for x in rng.choice(30, size=6, replace=False))
-            wa = rng.uniform(0.0, 1.0, size=6)
-            wb = rng.uniform(0.0, 1.0, size=6)
-            mu = FiniteAtomMeasure.from_dict(dict(zip(pts, wa)))
-            nu = FiniteAtomMeasure.from_dict(dict(zip(pts, wb)))
-            full = kr_distance(mu, nu, line_dist)
-            fast = kr_distance(mu, nu, line_dist, path_order=pts)
-            assert fast == pytest.approx(full, abs=1e-8)
+    def test_edge_program_matches_all_pairs(self, rng):
+        # tree_metric constrains spanned-subtree edges; a plain callable on
+        # the same tree constrains every pair
+        star = build_tree({v: 0 for v in range(1, 9)},
+                          {v: 0.3 * v for v in range(1, 9)}, root=0)
+        trees = [random_tree(rng, 15) for _ in range(8)]
+        trees += [star, path_tree(rng.uniform(0.1, 0.6, size=14))]
+        for t in trees:
+            for _ in range(3):
+                na, nb = rng.integers(1, 7, size=2)
+                mu = FiniteAtomMeasure(
+                    tuple(int(v) for v in rng.choice(t.n, size=na, replace=False)),
+                    tuple(rng.uniform(0.05, 1.0, size=na)))
+                nu = FiniteAtomMeasure(
+                    tuple(int(v) for v in rng.choice(t.n, size=nb, replace=False)),
+                    tuple(rng.uniform(0.05, 1.0, size=nb)))
+                edges = kr_distance(mu, nu, tree_metric(t))
+                pairs = kr_distance(mu, nu, lambda p, q: t.distance(p, q))
+                assert edges == pytest.approx(pairs, abs=1e-9)
 
-    def test_path_order_must_cover_support(self):
-        mu, nu = dirac(0.0), dirac(1.0)
-        with pytest.raises(MeasureError):
-            kr_distance(mu, nu, line_dist, path_order=[0.0])
+    def test_edge_program_matches_bruteforce_with_branch_points(self, rng):
+        checked = 0
+        while checked < 15:
+            t = random_tree(rng, 12)
+            pts = [int(v) for v in rng.choice(np.arange(1, 12), size=4,
+                                              replace=False)]
+            # only supports whose closure needs a branch point off the root
+            if len(branch_closure(t, pts + [t.root])) <= len(pts) + 1:
+                continue
+            k = int(rng.integers(1, 4))
+            mu = FiniteAtomMeasure(tuple(pts[:k]), tuple(rng.uniform(0.1, 1.0, k)))
+            nu = FiniteAtomMeasure(tuple(pts[k:]),
+                                   tuple(rng.uniform(0.1, 1.0, 4 - k)))
+            want = kr_bruteforce(mu, nu, lambda p, q: t.distance(p, q))
+            assert kr_distance(mu, nu, tree_metric(t)) == pytest.approx(
+                want, abs=1e-8)
+            checked += 1
+
+    def test_w1_closed_form_on_long_path(self):
+        # equal masses on a path of diameter < 2: the |f| <= 1 bound is
+        # inactive, so the program is W1 = sum |F_mu - F_nu| * gap
+        q = 2.0 ** (-1.0 / 256)
+        t = path_tree(1.9 * (1.0 - q) * q ** np.arange(1999))
+        x = t.height
+        a = np.exp(-((x - 0.5) / 0.1) ** 2)
+        b = np.exp(-((x - 0.51) / 0.1) ** 2)
+        a, b = a / a.sum(), b / b.sum()
+        mu = FiniteAtomMeasure(tuple(range(t.n)), tuple(a))
+        nu = FiniteAtomMeasure(tuple(range(t.n)), tuple(b))
+        w1 = float(np.sum(np.abs(np.cumsum(a - b)[:-1]) * np.diff(x)))
+        assert kr_distance(mu, nu, tree_metric(t)) == pytest.approx(w1, rel=1e-9)
 
     def test_bounded_by_prohorov_relation(self, rng):
         # dual gap <= (1 + total) * prohorov is a standard comparison; use
