@@ -54,6 +54,7 @@ from .exact import (
     occupation_functional,
     occupation_solve,
     speed_bound,
+    transition_laws,
     tree_energy,
 )
 from .measures import (

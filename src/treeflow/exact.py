@@ -16,16 +16,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from numpy.linalg import eigh
+from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.csgraph import depth_first_order
 
-from .tree import FLOAT_SLACK, RootedMetricTree, SpeedMeasure, TreeError
+from .tree import FLOAT_SLACK, RootedMetricTree, SpeedMeasure
 from .walk import WalkChain
-
-DENSE_SOLVE_LIMIT = 1500
 
 
 class OracleError(ValueError):
@@ -47,10 +48,7 @@ def green_kernel(tree: RootedMetricTree, x: int, y: int, z: int) -> float:
 def occupation_functional(tree: RootedMetricTree, measure: SpeedMeasure,
                           x: int, y: int, f=None) -> float:
     """Closed form for the expected integral of f along the walk until it hits y."""
-    if f is None:
-        fv = np.ones(tree.n)
-    else:
-        fv = _as_vertex_function(tree, f)
+    fv = _as_vertex_function(tree, 1.0 if f is None else f)
     zs = np.flatnonzero((measure.masses != 0.0) & (fv != 0.0))
     # green_kernel for every z at once: the median is the deepest pairwise meet
     meets = (tree.lca(x, y), tree.lca(y, zs), tree.lca(x, zs))
@@ -64,49 +62,26 @@ def occupation_functional(tree: RootedMetricTree, measure: SpeedMeasure,
 
 
 def occupation_solve(chain: WalkChain, x: int, y: int, f=None) -> float:
-    """Same functional via the absorbed linear system; no closed form used."""
+    """Same functional via the absorbed linear system; no closed form used.
+
+    Solves -Q[free, free] u = f[free] with one sparse LU, where Q is the
+    chain generator and free holds every state but y.
+    """
     if x not in chain.index or y not in chain.index:
         raise OracleError("x and y must be chain states")
-    if f is None:
-        fv = np.ones(chain.tree.n)
-    else:
-        fv = _as_vertex_function(chain.tree, f)
+    fv = _as_vertex_function(chain.tree, 1.0 if f is None else f)
     if x == y:
         return 0.0
-    free = [int(s) for s in chain.states if int(s) != y]
-    pos = {s: i for i, s in enumerate(free)}
-    n = len(free)
-    rows, cols, vals = [], [], []
-    rhs = np.empty(n)
-    for s in free:
-        i = pos[s]
-        rates = chain.jump_rates(s)
-        rows.append(i)
-        cols.append(i)
-        vals.append(sum(rates.values()))
-        for v, r in rates.items():
-            if v != y:
-                rows.append(i)
-                cols.append(pos[v])
-                vals.append(-r)
-        rhs[i] = fv[s]
-    sol = _solve(rows, cols, vals, n, rhs)
-    return float(sol[pos[x]])
+    free = np.ones(chain.n_states, dtype=bool)
+    free[chain.index[y]] = False
+    a = -chain.generator[free][:, free]
+    sol = spla.spsolve(a.tocsc(), fv[chain.states[free]])
+    return float(sol[np.count_nonzero(free[:chain.index[x]])])
 
 
 def expected_hitting(chain: WalkChain, x: int, y: int) -> float:
     """E_x[first hitting time of y], solved from the generator."""
     return occupation_solve(chain, x, y, None)
-
-
-def _solve(rows, cols, vals, n, rhs):
-    if n <= DENSE_SOLVE_LIMIT:
-        a = np.zeros((n, n))
-        for r, c, v in zip(rows, cols, vals):
-            a[r, c] += v
-        return np.linalg.solve(a, rhs)
-    a = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return spla.spsolve(a, rhs)
 
 
 # -------------------------------------------------- scale, capacity, harmonic
@@ -142,33 +117,19 @@ def harmonic_extension(tree: RootedMetricTree, boundary: Mapping) -> np.ndarray:
         if not 0 <= k < tree.n:
             raise OracleError(f"boundary vertex {k} out of range")
     out = np.zeros(tree.n)
-    free = [v for v in range(tree.n) if v not in fixed]
+    free = np.ones(tree.n, dtype=bool)
     for k, v in fixed.items():
         out[k] = v
-    if not free:
+        free[k] = False
+    if not free.any():
         return out
-    pos = {v: i for i, v in enumerate(free)}
-    n = len(free)
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(n)
-    for v in free:
-        i = pos[v]
-        diag = 0.0
-        for u in tree.neighbors(v):
-            c = 1.0 / tree.edge_length[v if tree.parent[v] == u else u]
-            diag += c
-            if u in fixed:
-                rhs[i] += c * fixed[u]
-            else:
-                rows.append(i)
-                cols.append(pos[u])
-                vals.append(-c)
-        rows.append(i)
-        cols.append(i)
-        vals.append(diag)
-    sol = _solve(rows, cols, vals, n, rhs)
-    for v in free:
-        out[v] = sol[pos[v]]
+    # conductance Laplacian of the tree; rows of free vertices have zero flux
+    kids = np.flatnonzero(np.arange(tree.n) != tree.root)
+    adj = sp.csr_matrix((1.0 / tree.edge_length[kids], (kids, tree.parent[kids])),
+                        shape=(tree.n, tree.n))
+    adj = adj + adj.T
+    lap = (sp.diags(np.asarray(adj.sum(axis=1)).ravel()) - adj).tocsr()[free]
+    out[free] = spla.spsolve(lap[:, free].tocsc(), -(lap[:, ~free] @ out[~free]))
     return out
 
 
@@ -344,8 +305,87 @@ class HeatKernelResult:
         return float(np.max(np.abs(self.laws.sum(axis=1) - 1.0)))
 
 
+def _law_inputs(chain: WalkChain, starts, times):
+    """Chain indices of the starts and the times as floats.
+
+    Raises OracleError naming a start that is not a chain state, or the
+    times when the list is empty or holds a negative or non-finite value.
+    """
+    for s in starts:
+        if int(s) not in chain.index:
+            raise OracleError(f"start vertex {s} is not a chain state")
+    tlist = [float(t) for t in times]
+    bad = [t for t in tlist if not (math.isfinite(t) and t >= 0)]
+    if not tlist or bad:
+        raise OracleError("times must be finite, nonnegative and nonempty, "
+                          f"got {bad or tlist}")
+    return [chain.index[int(s)] for s in starts], tlist
+
+
+def _path_order(q: sp.csr_matrix):
+    """Row order along the chain when the pattern of q is a path, else None.
+
+    A connected chain with n - 1 pairs and at most two neighbours per state
+    is a path; the order starts at its end with the larger state index.
+    """
+    width = np.diff(q.indptr)             # neighbours plus the diagonal
+    if q.nnz != 3 * q.shape[0] - 2 or width.max() > 3:
+        return None
+    return depth_first_order(q, int(np.flatnonzero(width == 2)[-1]),
+                             directed=False, return_predecessors=False)
+
+
+def transition_laws(chain: WalkChain, starts, times) -> np.ndarray:
+    """Laws P_t(x, .) over the chain states, shape (times, starts, states).
+
+    The generator Q is reversible for the masses m, so S = D^(1/2) Q D^(-1/2)
+    with D = diag(m) is symmetric: S[i, j] = c(i, j) / (2 sqrt(m_i m_j)) off
+    the diagonal, formed from the conductance c that Q is built from (one
+    rounding fewer than sqrt(Q[i, j] Q[j, i])), and S[i, i] = Q[i, i].  One
+    eigendecomposition S = V diag(w) V^T gives every law,
+
+        P_t(x, y) = sqrt(m_y / m_x) sum_k V[x, k] exp(w_k t) V[y, k],
+
+    and only the rows of the requested starts are formed; unlike the series,
+    the cost does not grow with the stiffest rate.  A path chain takes the
+    tridiagonal solver in path order; any other chain takes dense
+    divide-and-conquer eigh, O(n^3) time and O(n^2) memory.  Rounding
+    negatives are clipped to zero and each row is renormalised to a
+    distribution.  Inputs are checked as in heat_kernel.
+    """
+    idx, tlist = _law_inputs(chain, starts, times)
+    n = chain.n_states
+    rows = np.repeat(np.arange(n), [len(a) for a in chain.nbr])
+    cols = np.concatenate(chain.nbr)
+    vals = np.concatenate(chain.cond) / (
+        2.0 * np.sqrt(chain.mass[rows] * chain.mass[cols]))
+    sym = (sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+           + sp.diags(chain.generator.diagonal(), format="csr"))
+    order = _path_order(sym)
+    if order is None:
+        order = np.arange(n)
+        # LAPACK divide and conquer (syevd); the MRRR routine (syevr) was up
+        # to 40x slower on the clustered spectra of crt's reference chains
+        evals, vecs = eigh(sym.toarray())
+    else:
+        evals, vecs = eigh_tridiagonal(sym.diagonal()[order],
+                                       sym[order[:-1], order[1:]].A1)
+    sqrt_m = np.sqrt(chain.mass[order])
+    out = np.empty((len(tlist), len(idx), n))
+    at = np.argsort(order)[idx]           # where the starts sit in order
+    for j, t in enumerate(tlist):
+        decay = np.exp(evals * t)
+        for k, px in enumerate(at):
+            row = (vecs @ (decay * vecs[px])) * sqrt_m / sqrt_m[px]
+            row = np.clip(row, 0.0, None)
+            out[j, k, order] = row / row.sum()
+    return out
+
+
 def heat_kernel(chain: WalkChain, start: int, times) -> HeatKernelResult:
     """Laws of the walk at fixed times by uniformized series; no time stepping.
+
+    The independent oracle for transition_laws, which is the engine:
 
     P_t = sum_k Poisson(k; L t) B^k with B = I + Q / L and L just above the
     top exit rate.  Terms are added until the Poisson weights of every
@@ -358,27 +398,13 @@ def heat_kernel(chain: WalkChain, start: int, times) -> HeatKernelResult:
 
         terms <= a_max + 39 * sqrt(a_max) + 499,   a_max = L * max(times),
 
-    for finite nonnegative times; others raise OracleError.
+    for finite nonnegative times; others, and a start that is not a chain
+    state, raise OracleError.
     """
-    if start not in chain.index:
-        raise OracleError(f"start vertex {start} is not a chain state")
-    tlist = [float(t) for t in times]
-    bad = [t for t in tlist if not (math.isfinite(t) and t >= 0)]
-    if not tlist or bad:
-        raise OracleError("times must be finite, nonnegative and nonempty, "
-                          f"got {bad or tlist}")
+    (first,), tlist = _law_inputs(chain, (start,), times)
     n = chain.n_states
     lam = 1.1 * float(chain.exit_rate.max())
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        rows.append(i)
-        cols.append(i)
-        vals.append(1.0 - chain.exit_rate[i] / lam)
-        for j, r in zip(chain.nbr[i], chain.rates[i]):
-            rows.append(i)
-            cols.append(int(j))
-            vals.append(r / lam)
-    b = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    b = sp.identity(n, format="csr") + chain.generator / lam
     if n <= 600:
         # sparse matvec overhead dominates at this size
         b = b.toarray()
@@ -387,7 +413,7 @@ def heat_kernel(chain: WalkChain, start: int, times) -> HeatKernelResult:
     cum = np.zeros(len(tlist))
     lt = np.array([lam * t for t in tlist])
     psi = np.zeros(n)
-    psi[chain.index[start]] = 1.0
+    psi[first] = 1.0
     finished = [False] * len(tlist)
     k = 0
     while True:

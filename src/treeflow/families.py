@@ -8,7 +8,7 @@ Each generator is pure given its parameters and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

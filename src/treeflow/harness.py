@@ -20,7 +20,6 @@ from importlib import resources
 
 import numpy as np
 from scipy import stats as sp_stats
-from scipy.linalg import eigh_tridiagonal
 
 from . import exact
 from .families import (
@@ -490,7 +489,8 @@ def check_one_sided_bounds(master_seed: int, configurations: int = 20,
 
 def check_heat_kernel(master_seed: int, chains: int = 50,
                       times=(0.3, 0.9, 1.8, 4.0)) -> list:
-    """Mass, symmetry, and norm bounds of the uniformized transition law."""
+    """Mass, symmetry and norm bounds of the eigen transition laws, and their
+    gap to the uniformization series, from every start."""
     records = []
     times = tuple(float(t) for t in times)
     for i in range(chains):
@@ -501,37 +501,37 @@ def check_heat_kernel(master_seed: int, chains: int = 50,
         payload.update(check="heat-kernel", index=i, times=[repr(t) for t in times])
         h = _instance_hash(payload)
         seed_lbl = _seed_label(master_seed, 6, i)
-        results = [exact.heat_kernel(chain, int(s), times) for s in chain.states]
-        defect = max(r.mass_defect() for r in results)
+        laws = exact.transition_laws(chain, chain.states, times)
+        series = [exact.heat_kernel(chain, int(s), times) for s in chain.states]
+        defect = float(np.abs(laws.sum(axis=2) - 1.0).max())
         records.append(CheckRecord(
             "heat-kernel/mass", f"chain[{i}]", h, defect, 1e-10, 1e-10,
             defect <= 1e-10, seed_lbl))
-        n = chain.n_states
-        sym = 0.0
-        for t_i, t in enumerate(times):
-            p = np.vstack([results[a].laws[t_i] for a in range(n)])
-            weighted = chain.mass[:, None] * p
-            sym = max(sym, float(np.abs(weighted - weighted.T).max()))
+        weighted = chain.mass[:, None] * laws
+        sym = float(np.abs(weighted - weighted.transpose(0, 2, 1)).max())
         records.append(CheckRecord(
             "heat-kernel/symmetry", f"chain[{i}]", h, sym, 1e-10, 1e-10,
             sym <= 1e-10, seed_lbl))
-        excess = -math.inf
-        for r in results:
-            for t in times:
-                excess = max(excess, r.l2_norm_sq(t) - r.l2_bound(t))
+        # the ceilings of the series results depend on the chain and t only
+        norms = (laws * laws / chain.mass).sum(axis=2)
+        ceiling = np.array([series[0].l2_bound(t) for t in times])
+        excess = float((norms - ceiling[:, None]).max())
         records.append(CheckRecord(
             "heat-kernel/l2-bound", f"chain[{i}]", h, excess, 0.0, 1e-9,
             excess <= 1e-9, seed_lbl))
-        k = max(1, n // 3)
+        k = max(1, chain.n_states // 3)
         subset = [int(s) for s in rng.choice(chain.states, size=k, replace=False)]
-        set_excess = -math.inf
-        for r in results:
-            for t in times:
-                prob = float(sum(r.prob(t, v) for v in subset))
-                set_excess = max(set_excess, prob - r.set_prob_bound(t, subset))
+        prob = laws[:, :, np.isin(chain.states, subset)].sum(axis=2)
+        ceiling = np.array([series[0].set_prob_bound(t, subset) for t in times])
+        set_excess = float((prob - ceiling[:, None]).max())
         records.append(CheckRecord(
             "heat-kernel/set-bound", f"chain[{i}] |A|={k}", h, set_excess,
             0.0, 1e-9, set_excess <= 1e-9, seed_lbl))
+        gap = max(float(np.abs(laws[:, a] - r.laws).max())
+                  for a, r in enumerate(series))
+        records.append(CheckRecord(
+            "heat-kernel/series", f"chain[{i}]", h, gap, 1e-9, 1e-9,
+            gap <= 1e-9, seed_lbl))
     return records
 
 
@@ -736,11 +736,11 @@ def run_verify(config: ExperimentConfig, write: bool = True) -> RunArtifacts:
 # -- convergence families ----------------------------------------------------
 
 def stone_level(n: int, span_exponent: int = 2):
-    """Geometric two-ray lattice with ratio 2^(1/n) and its line data.
+    """Geometric two-ray lattice with ratio 2^(1/n), embedded in the line.
 
-    Returns (tree, measure, positions): the measure is the midpoint rule for
-    Lebesgue measure on the embedded point set, so the root carries mass and
-    every vertex is a chain state.
+    Returns (tree, measure, positions): positions are the signed points
+    +-q^k and 0, and the measure is the midpoint rule for Lebesgue measure on
+    them, so the root carries mass and every vertex is a chain state.
     """
     q = 2.0 ** (1.0 / n)
     big_k = span_exponent * n
@@ -780,38 +780,6 @@ def _law_measure(chain: WalkChain, law: np.ndarray, ids) -> FiniteAtomMeasure:
     """Chain law with the atom of each state at vertex ``ids[state]``."""
     return FiniteAtomMeasure.from_dict(
         {ids[int(s)]: float(law[j]) for j, s in enumerate(chain.states)})
-
-
-def _line_chain_laws(chain: WalkChain, start: int, times,
-                     positions: np.ndarray) -> np.ndarray:
-    """Exact one-time laws for a chain whose states lie on a line.
-
-    The generator is reversible for the mass vector, so conjugating by
-    sqrt(mass) makes it a symmetric tridiagonal matrix in position order and
-    the laws come from one eigendecomposition.  This sidesteps the
-    uniformized series, whose term count blows up with the stiffest exit
-    rate on fine geometric lattices.
-    """
-    order = np.argsort(positions[chain.states], kind="stable")
-    m = chain.mass[order]
-    diag = -chain.exit_rate[order]
-    off = np.empty(len(order) - 1)
-    for i in range(len(order) - 1):
-        a = int(chain.states[order[i]])
-        b = int(chain.states[order[i + 1]])
-        c = chain.pair_conductance[(min(a, b), max(a, b))]
-        off[i] = c / (2.0 * math.sqrt(m[i] * m[i + 1]))
-    evals, vecs = eigh_tridiagonal(diag, off)
-    inv = np.empty_like(order)
-    inv[order] = np.arange(len(order))
-    px = inv[chain.index[int(start)]]
-    out = np.empty((len(times), chain.n_states))
-    sqrt_m = np.sqrt(m)
-    for j, t in enumerate(times):
-        row = (vecs @ (np.exp(evals * float(t)) * vecs[px])) * sqrt_m / sqrt_m[px]
-        row = np.clip(row, 0.0, None)
-        out[j, order] = row / row.sum()
-    return out
 
 
 def run_convergence(config: ExperimentConfig, write: bool = True) -> RunArtifacts:
@@ -855,9 +823,9 @@ def _run_stone(config: ExperimentConfig, write: bool) -> RunArtifacts:
     ref_level = int(config.family.get("reference_level", 2 * max(config.n_list)))
     delta = float(config.family.get("delta", 0.25))
     times = config.times or (0.25, 1.0)
-    ref_tree, ref_measure, ref_pos = stone_level(ref_level, span)
+    ref_tree, ref_measure, _ = stone_level(ref_level, span)
     ref_chain = build_chain(ref_tree, ref_measure)
-    ref_rows = _line_chain_laws(ref_chain, ref_tree.root, times, ref_pos)
+    ref_rows = exact.transition_laws(ref_chain, [ref_tree.root], times)[:, 0]
     dist = tree_metric(ref_tree)
     ref_laws = [_law_measure(ref_chain, ref_rows[j], range(ref_tree.n))
                 for j in range(len(times))]
@@ -865,9 +833,9 @@ def _run_stone(config: ExperimentConfig, write: bool) -> RunArtifacts:
     table = {}
     approximations = []
     for n in config.n_list:
-        tree, measure, pos = stone_level(n, span)
+        tree, measure, _ = stone_level(n, span)
         chain = build_chain(tree, measure)
-        law_rows = _line_chain_laws(chain, tree.root, times, pos)
+        law_rows = exact.transition_laws(chain, [tree.root], times)[:, 0]
         ids = _stone_reference_ids(n, ref_level, span)
         for j, t in enumerate(times):
             # atoms sit on their reference-lattice twins, so shared ones merge
@@ -915,19 +883,18 @@ def _run_fdd(config: ExperimentConfig, write: bool) -> RunArtifacts:
     for n in config.n_list:
         measure = SpeedMeasure([1.0, 1.0 / n])
         chain = build_chain(tree, measure)
-        hk = exact.heat_kernel(chain, 0, times)
-        laws = [_law_measure(chain, hk.laws[j], {0: 0, 1: 1})
+        law_rows = exact.transition_laws(chain, [0], times)[:, 0]
+        laws = [_law_measure(chain, law_rows[j], {0: 0, 1: 1})
                 for j in range(len(times))]
         joint = None
         if with_joint and len(times) >= 2:
             # Markov property gives the exact two-time joint law
-            t1 = times[0]
-            gap_hk = [exact.heat_kernel(chain, int(s), (times[1] - times[0],))
-                      for s in chain.states]
+            gap = exact.transition_laws(chain, chain.states,
+                                        (times[1] - times[0],))[0]
             pairs = {}
             for a_idx, a in enumerate(chain.states):
                 for b_idx, b in enumerate(chain.states):
-                    w = float(hk.laws[0][a_idx] * gap_hk[a_idx].laws[0][b_idx])
+                    w = float(law_rows[0][a_idx] * gap[a_idx][b_idx])
                     if w > 0:
                         pairs[(int(a), int(b))] = w
             joint = FiniteAtomMeasure.from_dict(pairs)
@@ -990,8 +957,8 @@ def _run_crt(config: ExperimentConfig, write: bool) -> RunArtifacts:
     diam = ambient.diameter()
     delta = float(delta_key) if delta_key is not None else 0.1 * diam
     ref_chain = build_chain(ambient, ambient_measure)
-    ref_hk = exact.heat_kernel(ref_chain, ambient.root, times)
-    ref_laws = [_law_measure(ref_chain, ref_hk.laws[j], list(range(ambient.n)))
+    ref_rows = exact.transition_laws(ref_chain, [ambient.root], times)[:, 0]
+    ref_laws = [_law_measure(ref_chain, ref_rows[j], list(range(ambient.n)))
                 for j in range(len(times))]
     rows = []
     table = {}
@@ -1000,9 +967,9 @@ def _run_crt(config: ExperimentConfig, write: bool) -> RunArtifacts:
         eps = diam / n
         disc = discretize(ambient, ambient_measure, eps)
         chain = build_chain(ambient, disc.pushforward)
-        hk = exact.heat_kernel(chain, ambient.root, times)
+        law_rows = exact.transition_laws(chain, [ambient.root], times)[:, 0]
         for j, t in enumerate(times):
-            law = _law_measure(chain, hk.laws[j], list(range(ambient.n)))
+            law = _law_measure(chain, law_rows[j], list(range(ambient.n)))
             kr = kr_distance(law, ref_laws[j], dist)
             table[(n, t)] = kr
             rows.append({"n": n, "time": float(t), "kr": kr,

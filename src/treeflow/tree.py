@@ -25,9 +25,9 @@ projection onto a subset together with its mass pushforward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 

@@ -26,9 +26,10 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .tree import FLOAT_SLACK, RootedMetricTree, SpeedMeasure
 
@@ -86,6 +87,15 @@ class WalkChain:
             cum[i, :k] = self.cum_rates[i] / self.exit_rate[i]
             cum[i, k - 1] = 1.0   # guard the top against rounding
         return nbr, cum
+
+    @cached_property
+    def generator(self) -> sp.csr_matrix:
+        """Sparse generator Q: Q[i, j] = rate(i -> j), Q[i, i] = -exit_rate[i]."""
+        n = self.n_states
+        rows = np.repeat(np.arange(n), [len(a) for a in self.nbr])
+        cols = np.concatenate(self.nbr)
+        jumps = sp.csr_matrix((np.concatenate(self.rates), (rows, cols)), shape=(n, n))
+        return jumps - sp.diags(self.exit_rate, format="csr")
 
     @property
     def n_states(self) -> int:
@@ -340,15 +350,7 @@ def generator_apply(chain: WalkChain, f) -> np.ndarray:
 
     (Lf)(u) = (1 / (2 mass(u))) * sum_v c(u,v) (f(v) - f(u))
     """
-    fv = _vertex_function(chain, f)
-    out = np.zeros(chain.n_states)
-    for i in range(chain.n_states):
-        vi = int(chain.states[i])
-        acc = 0.0
-        for j, c in zip(chain.nbr[i], chain.cond[i]):
-            acc += c * (fv[int(chain.states[j])] - fv[vi])
-        out[i] = acc / (2.0 * chain.mass[i])
-    return out
+    return chain.generator @ _vertex_function(chain, f)[chain.states]
 
 
 def dirichlet_energy(chain: WalkChain, f, g=None) -> float:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from treeflow import exact
 from treeflow.exact import (
     AtomLaw,
     OracleError,
@@ -21,6 +22,7 @@ from treeflow.exact import (
     occupation_functional,
     occupation_solve,
     speed_bound,
+    transition_laws,
     tree_energy,
 )
 from treeflow.harness import stone_level
@@ -90,6 +92,21 @@ class TestOccupation:
         chain = build_chain(t, m)
         assert occupation_solve(chain, 0, 0) == 0.0
         assert green_kernel(t, 2, 0, 0) == 0.0
+
+
+    def test_sparse_solve_on_a_large_chain(self, rng):
+        # 1,500-3,000 states: the size range where the solve used to switch
+        # from a dense to a sparse factorisation
+        n = 2400
+        t = random_tree(rng, n)
+        m = random_masses(rng, n)
+        chain = build_chain(t, m)
+        assert 1500 <= chain.n_states <= 3000
+        f = rng.uniform(0.0, 2.0, size=n)
+        for _ in range(4):
+            x, y = (int(v) for v in rng.choice(n, size=2, replace=False))
+            want = occupation_functional(t, m, x, y, f)
+            assert occupation_solve(chain, x, y, f) == pytest.approx(want, rel=1e-9)
 
 
 class TestScaleAndCapacity:
@@ -348,3 +365,125 @@ class TestHeatKernel:
         hk = heat_kernel(chain, 0, [1.0])
         with pytest.raises(OracleError):
             hk.law(2.0)
+
+
+def series_laws(chain, times):
+    """Series laws from every start, shaped like transition_laws."""
+    rows = [heat_kernel(chain, int(s), times).laws for s in chain.states]
+    return np.stack(rows, axis=1)
+
+
+def random_chain(rng, n, zero_frac=0.0):
+    """Random tree chain; zero masses fold vertices into cliques."""
+    t = random_tree(rng, n)
+    masses = random_masses(rng, n).masses.copy()
+    masses[1:][rng.random(n - 1) < zero_frac] = 0.0
+    return build_chain(t, SpeedMeasure(masses))
+
+
+def relabelled_path(lengths, masses, perm):
+    """Path whose i-th vertex along the line carries the id perm[i]."""
+    parents = {int(perm[i + 1]): int(perm[i]) for i in range(len(lengths))}
+    ells = {int(perm[i + 1]): float(l) for i, l in enumerate(lengths)}
+    tree = build_tree(parents, ells, int(perm[0]))
+    mass = np.empty(len(masses))
+    mass[perm] = masses
+    return build_chain(tree, SpeedMeasure(mass))
+
+
+def two_point_chain(n):
+    """The fdd chain: unit edge, far mass 1/n."""
+    return build_chain(build_tree({1: 0}, {1: 1.0}, root=0),
+                       SpeedMeasure([1.0, 1.0 / n]))
+
+
+def star_chain(leaves, center_mass):
+    tree = build_tree({v: 0 for v in range(1, leaves + 1)},
+                      {v: 0.5 + 0.25 * v for v in range(1, leaves + 1)}, root=0)
+    return build_chain(tree, SpeedMeasure([center_mass] + [1.0] * leaves))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("wrong eigen solver")
+
+
+class TestTransitionLaws:
+    TIMES = (0.0, 0.2, 1.0, 3.7)
+
+    def test_generator_is_built_once_from_the_rates(self, rng):
+        chain = random_chain(rng, 9, zero_frac=0.3)
+        q = chain.generator
+        assert q is chain.generator
+        assert np.array_equal(q.toarray(), dense_generator(chain))
+
+    def test_matches_series_on_random_trees(self, rng):
+        for _ in range(10):
+            chain = random_chain(rng, int(rng.integers(3, 13)), zero_frac=0.3)
+            got = transition_laws(chain, chain.states, self.TIMES)
+            assert got.shape == (4, chain.n_states, chain.n_states)
+            assert np.abs(got - series_laws(chain, self.TIMES)).max() <= 1e-9
+
+    def test_matches_series_on_paths(self, rng):
+        for _ in range(6):
+            n = int(rng.integers(2, 15))
+            chain = build_chain(path_tree(rng.uniform(0.2, 1.5, size=n - 1)),
+                                random_masses(rng, n))
+            got = transition_laws(chain, chain.states, self.TIMES)
+            assert np.abs(got - series_laws(chain, self.TIMES)).max() <= 1e-9
+
+    def test_chapman_kolmogorov(self, rng):
+        a, b = 0.7, 1.3
+        path = build_chain(path_tree(rng.uniform(0.2, 1.5, size=7)),
+                           random_masses(rng, 8))
+        for chain in (random_chain(rng, 10, zero_frac=0.3), path):
+            p_a, p_b, p_ab = transition_laws(chain, chain.states, (a, b, a + b))
+            assert np.allclose(p_a @ p_b, p_ab, rtol=0.0, atol=1e-12)
+
+    def test_only_requested_starts(self, rng):
+        chain = random_chain(rng, 9)
+        full = transition_laws(chain, chain.states, (0.4, 2.0))
+        starts = [int(chain.states[3]), int(chain.states[0])]
+        got = transition_laws(chain, starts, (0.4, 2.0))
+        assert got.shape == (2, 2, chain.n_states)
+        assert np.array_equal(got, full[:, [3, 0]])
+
+    def test_paths_take_the_tridiagonal_solver(self, monkeypatch):
+        monkeypatch.setattr(exact, "eigh", _refuse)
+        tree, measure, _ = stone_level(2)
+        for chain in (build_chain(tree, measure), two_point_chain(8)):
+            laws = transition_laws(chain, chain.states, (0.25, 1.0))
+            assert np.allclose(laws.sum(axis=2), 1.0, rtol=0.0, atol=1e-12)
+
+    def test_other_chains_take_dense_eigh(self, monkeypatch):
+        monkeypatch.setattr(exact, "eigh_tridiagonal", _refuse)
+        # a star, and a massless center folded into a 3-cycle (every state
+        # has two neighbours, but the chain is not a path)
+        for chain in (star_chain(4, 1.0), star_chain(3, 0.0)):
+            laws = transition_laws(chain, chain.states, (0.25, 1.0))
+            assert np.abs(laws - series_laws(chain, (0.25, 1.0))).max() <= 1e-9
+
+    def test_relabelled_path_gives_the_same_laws(self, rng):
+        n = 9
+        lengths = rng.uniform(0.2, 1.5, size=n - 1)
+        masses = rng.uniform(0.3, 2.0, size=n)
+        base = relabelled_path(lengths, masses, np.arange(n))
+        want = transition_laws(base, range(n), self.TIMES)
+        for _ in range(4):
+            perm = rng.permutation(n)
+            chain = relabelled_path(lengths, masses, perm)
+            got = transition_laws(chain, perm, self.TIMES)
+            cols = [chain.index[int(v)] for v in perm]
+            assert np.allclose(got[:, :, cols], want, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("starts, times, named", [
+        ([1], [1.0], "start vertex 1 is not a chain state"),
+        ([0], [], r"got \[\]"),
+        ([0], [0.5, -1.0], "-1.0"),
+        ([0], [0.5, math.inf], "inf"),
+        ([0], [0.5, math.nan], "nan"),
+    ], ids=["eliminated-start", "empty", "negative", "inf", "nan"])
+    def test_bad_inputs_named(self, starts, times, named):
+        # the middle vertex carries no mass, so it is folded away
+        chain = build_chain(path_tree([1.0, 1.0]), SpeedMeasure([1.0, 0.0, 1.0]))
+        with pytest.raises(OracleError, match=named):
+            transition_laws(chain, starts, times)

@@ -6,7 +6,6 @@ tolerances are the same 3-4 sigma bands the harness itself uses.
 
 import csv
 import json
-import os
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ from treeflow.harness import (
     stone_level,
 )
 from treeflow.cli import main as cli_main
-from treeflow.tree import SpeedMeasure, build_tree
+from treeflow.tree import SpeedMeasure
 from treeflow.walk import build_chain, lockstep_ensemble
 from conftest import path_tree
 
@@ -238,7 +237,7 @@ class TestVerifyChecks:
 
     def test_heat_kernel(self):
         recs = check_heat_kernel(SEED, chains=8)
-        assert len(recs) == 32 and all(r.passed for r in recs)
+        assert len(recs) == 40 and all(r.passed for r in recs)
 
     def test_entrance(self):
         recs = check_entrance(depths=range(2, 8))

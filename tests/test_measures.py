@@ -8,7 +8,6 @@ import pytest
 
 from treeflow import measures
 from treeflow.measures import (
-    ConvergenceReport,
     FiniteAtomMeasure,
     empirical_law,
     fdd_compare,
@@ -28,7 +27,7 @@ from treeflow.tree import (
     build_tree,
     lower_mass,
 )
-from conftest import path_tree, random_masses, random_tree
+from conftest import path_tree, random_tree
 
 
 def line_dist(a, b):
