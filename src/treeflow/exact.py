@@ -26,7 +26,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.csgraph import depth_first_order
 
 from .tree import FLOAT_SLACK, RootedMetricTree, SpeedMeasure
-from .walk import WalkChain
+from .walk import WalkChain, vertex_function
 
 
 class OracleError(ValueError):
@@ -48,7 +48,7 @@ def green_kernel(tree: RootedMetricTree, x: int, y: int, z: int) -> float:
 def occupation_functional(tree: RootedMetricTree, measure: SpeedMeasure,
                           x: int, y: int, f=None) -> float:
     """Closed form for the expected integral of f along the walk until it hits y."""
-    fv = _as_vertex_function(tree, 1.0 if f is None else f)
+    fv = vertex_function(tree, 1.0 if f is None else f, OracleError)
     zs = np.flatnonzero((measure.masses != 0.0) & (fv != 0.0))
     # green_kernel for every z at once: the median is the deepest pairwise meet
     meets = (tree.lca(x, y), tree.lca(y, zs), tree.lca(x, zs))
@@ -69,7 +69,7 @@ def occupation_solve(chain: WalkChain, x: int, y: int, f=None) -> float:
     """
     if x not in chain.index or y not in chain.index:
         raise OracleError("x and y must be chain states")
-    fv = _as_vertex_function(chain.tree, 1.0 if f is None else f)
+    fv = vertex_function(chain.tree, 1.0 if f is None else f, OracleError)
     if x == y:
         return 0.0
     free = np.ones(chain.n_states, dtype=bool)
@@ -135,7 +135,7 @@ def harmonic_extension(tree: RootedMetricTree, boundary: Mapping) -> np.ndarray:
 
 def tree_energy(tree: RootedMetricTree, f) -> float:
     """E(f, f) summed over edges with conductance 1/length."""
-    fv = _as_vertex_function(tree, f)
+    fv = vertex_function(tree, f, OracleError)
     acc = 0.0
     for v, p, ell in tree.edges():
         d = fv[v] - fv[p]
@@ -436,17 +436,3 @@ def heat_kernel(chain: WalkChain, start: int, times) -> HeatKernelResult:
     out /= out.sum(axis=1, keepdims=True)
     return HeatKernelResult(chain=chain, start=int(start), times=tlist,
                             laws=out, uniformization_rate=lam, terms=k)
-
-
-def _as_vertex_function(tree: RootedMetricTree, f) -> np.ndarray:
-    if isinstance(f, Mapping):
-        out = np.zeros(tree.n)
-        for k, v in f.items():
-            out[int(k)] = float(v)
-        return out
-    if np.isscalar(f):
-        return np.full(tree.n, float(f))
-    arr = np.asarray(f, dtype=np.float64)
-    if arr.shape != (tree.n,):
-        raise OracleError("function must assign a value to every vertex")
-    return arr

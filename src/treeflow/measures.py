@@ -308,7 +308,12 @@ def prohorov(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist,
 
 def prohorov_bruteforce(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist,
                         iters: int = 80) -> float:
-    """Literal definition over all subsets; oracle for small supports only."""
+    """Literal definition over all subsets; oracle for small supports only.
+
+    Each side has at most 10 atoms.  A probe of one eps tries the 2^k - 1
+    nonempty subsets of each side (k its atom count), and the bisection
+    makes at most ``iters + 1`` probes.
+    """
     if len(mu) > 10 or len(nu) > 10:
         raise MeasureError("brute-force check is limited to 10 atoms per side")
     if len(mu) == 0 and len(nu) == 0:
@@ -350,6 +355,8 @@ def prohorov_bruteforce(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist,
 # HiGHS's default 1e-7 feasibility tolerances cost digits at thousands of atoms
 _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                "dual_feasibility_tolerance": 1e-10}
+# row subsets per batched det/solve in kr_bruteforce: bounds one chunk's systems
+SUBSET_BLOCK = 1 << 12
 
 
 def kr_distance(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist) -> float:
@@ -402,7 +409,13 @@ def kr_distance(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist) -> float:
 
 
 def kr_bruteforce(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist) -> float:
-    """Vertex enumeration of the dual polytope; oracle for tiny supports."""
+    """Vertex enumeration of the dual polytope; oracle for tiny supports.
+
+    On a union support of n <= 5 points the polytope has n(n + 1) rows, and
+    every one of the C(n(n + 1), n) row subsets is tried as a vertex: at most
+    142,506 at n = 5.  Subsets are drawn SUBSET_BLOCK at a time, so memory is
+    one chunk of stacked n x n systems, never the whole subset list.
+    """
     support = list(dict.fromkeys(list(mu.points) + list(nu.points)))
     n = len(support)
     if n > 5:
@@ -430,14 +443,20 @@ def kr_bruteforce(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist) -> float:
     rows = np.array(rows)
     rhs = np.array(rhs)
     best = -math.inf
-    for sub in itertools.combinations(range(len(rows)), n):
-        a = rows[list(sub)]
-        if abs(np.linalg.det(a)) < 1e-12:
-            continue
-        x = np.linalg.solve(a, rhs[list(sub)])
-        if np.all(rows @ x <= rhs + 1e-9):
-            best = max(best, float(w @ x))
-    return best
+    combos = itertools.combinations(range(len(rows)), n)
+    while True:
+        subs = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(combos, SUBSET_BLOCK)),
+            dtype=np.intp).reshape(-1, n)
+        if not len(subs):
+            return best
+        a = rows[subs]
+        keep = np.abs(np.linalg.det(a)) >= 1e-12
+        x = np.linalg.solve(a[keep], rhs[subs[keep]][..., None])[..., 0]
+        # each row holds at most two entries of +-1, so these sums are exact
+        feasible = np.all(x @ rows.T <= rhs + 1e-9, axis=1)
+        for vertex in x[feasible]:   # x[feasible] @ w would round differently
+            best = max(best, float(w @ vertex))
 
 
 # ------------------------------------------------------ set and report layer

@@ -502,10 +502,6 @@ def epsilon_degree(tree: RootedMetricTree, x: int, eps: float) -> int:
     return count
 
 
-def max_epsilon_degree(tree: RootedMetricTree, eps: float) -> int:
-    return max(epsilon_degree(tree, x, eps) for x in range(tree.n))
-
-
 # -- four point condition ---------------------------------------------------
 
 

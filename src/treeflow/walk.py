@@ -350,7 +350,7 @@ def generator_apply(chain: WalkChain, f) -> np.ndarray:
 
     (Lf)(u) = (1 / (2 mass(u))) * sum_v c(u,v) (f(v) - f(u))
     """
-    return chain.generator @ _vertex_function(chain, f)[chain.states]
+    return chain.generator @ vertex_function(chain.tree, f)[chain.states]
 
 
 def dirichlet_energy(chain: WalkChain, f, g=None) -> float:
@@ -358,23 +358,34 @@ def dirichlet_energy(chain: WalkChain, f, g=None) -> float:
 
     Satisfies E(f, g) = -(Lf, g) weighted by the state masses.
     """
-    fv = _vertex_function(chain, f)
-    gv = fv if g is None else _vertex_function(chain, g)
+    fv = vertex_function(chain.tree, f)
+    gv = fv if g is None else vertex_function(chain.tree, g)
     acc = 0.0
     for (u, v), c in chain.pair_conductance.items():
         acc += c * (fv[u] - fv[v]) * (gv[u] - gv[v])
     return 0.5 * acc
 
 
-def _vertex_function(chain: WalkChain, f) -> np.ndarray:
+def vertex_function(tree: RootedMetricTree, f, error=ChainError) -> np.ndarray:
+    """One value per tree vertex from a mapping, a scalar or an array.
+
+    A mapping sets the listed vertices and leaves the rest at 0; a scalar is
+    a constant function; anything else must have length ``tree.n``.  Bad
+    input raises the caller's ``error`` class.
+    """
     if isinstance(f, Mapping):
-        out = np.zeros(chain.tree.n)
+        out = np.zeros(tree.n)
         for k, v in f.items():
+            if not 0 <= int(k) < tree.n:
+                raise error(f"function names vertex {k}, outside 0..{tree.n - 1}")
             out[int(k)] = float(v)
         return out
+    if np.isscalar(f):
+        return np.full(tree.n, float(f))
     arr = np.asarray(f, dtype=np.float64)
-    if arr.shape != (chain.tree.n,):
-        raise ChainError("function must assign a value to every tree vertex")
+    if arr.shape != (tree.n,):
+        raise error(f"function must assign a value to every vertex: expected "
+                    f"length {tree.n}, got shape {arr.shape}")
     return arr
 
 

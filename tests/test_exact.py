@@ -93,6 +93,23 @@ class TestOccupation:
         assert occupation_solve(chain, 0, 0) == 0.0
         assert green_kernel(t, 2, 0, 0) == 0.0
 
+    def test_vertex_function_inputs(self):
+        # mapping, scalar and array give the same function; a short array is
+        # an OracleError that names the length the tree needs
+        t = path_tree([1.0, 1.0])
+        m = SpeedMeasure([1.0, 1.0, 1.0])
+        chain = build_chain(t, m)
+        want = occupation_functional(t, m, 2, 0, [2.0, 2.0, 2.0])
+        assert occupation_functional(t, m, 2, 0, 2.0) == want
+        assert occupation_functional(t, m, 2, 0, {0: 2.0, 1: 2.0, 2: 2.0}) == want
+        assert occupation_solve(chain, 2, 0, 2.0) == pytest.approx(want, rel=1e-12)
+        for call in (lambda: occupation_functional(t, m, 2, 0, [1.0, 1.0]),
+                     lambda: occupation_solve(chain, 2, 0, [1.0, 1.0]),
+                     lambda: tree_energy(t, np.ones(4))):
+            with pytest.raises(OracleError, match="expected length 3"):
+                call()
+        with pytest.raises(OracleError, match="vertex 3"):
+            tree_energy(t, {3: 1.0})
 
     def test_sparse_solve_on_a_large_chain(self, rng):
         # 1,500-3,000 states: the size range where the solve used to switch

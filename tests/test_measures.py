@@ -1,6 +1,7 @@
 """Measure distances against brute-force twins and hand-computed values."""
 
 import io
+import itertools
 import math
 
 import numpy as np
@@ -44,6 +45,52 @@ def line_tree(xs, root):
 
 def dirac(p, w=1.0):
     return FiniteAtomMeasure((p,), (w,))
+
+
+def kr_loop(mu, nu, dist):
+    """Reference for kr_bruteforce: one det and one solve per row subset."""
+    support = list(dict.fromkeys(list(mu.points) + list(nu.points)))
+    n = len(support)
+    if n == 0:
+        return 0.0
+    w = np.zeros(n)
+    for p, m in zip(mu.points, mu.weights):
+        w[support.index(p)] += m
+    for p, m in zip(nu.points, nu.weights):
+        w[support.index(p)] -= m
+    rows, rhs = [], []
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        rows += [e.copy(), -e]
+        rhs += [1.0, 1.0]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = dist(support[i], support[j])
+            e = np.zeros(n)
+            e[i], e[j] = 1.0, -1.0
+            rows += [e.copy(), -e]
+            rhs += [d, d]
+    rows = np.array(rows)
+    rhs = np.array(rhs)
+    best = -math.inf
+    for sub in itertools.combinations(range(len(rows)), n):
+        a = rows[list(sub)]
+        if abs(np.linalg.det(a)) < 1e-12:
+            continue
+        x = np.linalg.solve(a, rhs[list(sub)])
+        if np.all(rows @ x <= rhs + 1e-9):
+            best = max(best, float(w @ x))
+    return best
+
+
+def split_support(rng, pts):
+    """mu on a random nonempty prefix of pts, nu on the rest (may be empty)."""
+    k = int(rng.integers(1, len(pts) + 1))
+    mu = FiniteAtomMeasure(tuple(pts[:k]), tuple(rng.uniform(0.1, 1.0, k)))
+    nu = FiniteAtomMeasure(tuple(pts[k:]),
+                           tuple(rng.uniform(0.1, 1.0, len(pts) - k)))
+    return mu, nu
 
 
 class TestFiniteAtomMeasure:
@@ -252,6 +299,63 @@ class TestDualDistance:
             kr = kr_distance(mu, nu, line_dist)
             pr = prohorov(mu, nu, line_dist)
             assert kr <= (2.0 + mu.total + nu.total) * pr + 1e-9
+
+
+class TestBruteForceDual:
+    """kr_bruteforce enumerates in chunks; kr_loop is the per-subset twin."""
+
+    def test_bit_equal_to_loop_on_lines(self, rng):
+        # on the grid the gaps are equal multiples of 0.1: many subsets are
+        # singular, and since 0.1 rounds in binary, some optimal vertices pass
+        # the feasibility test only within its 1e-9 slack
+        for size in [1, 4, 5] + [2, 3] * 20:
+            for grid in (False, True):
+                if grid:
+                    pts = 0.1 * rng.choice(7, size=size, replace=False)
+                else:
+                    pts = rng.uniform(0.0, 3.0, size=size)
+                mu, nu = split_support(rng, [float(p) for p in pts])
+                assert kr_bruteforce(mu, nu, line_dist) == kr_loop(mu, nu, line_dist)
+
+    def test_bit_equal_to_loop_on_trees(self, rng):
+        star = build_tree({v: 0 for v in range(1, 6)}, {v: 0.1 for v in range(1, 6)},
+                          root=0)
+        cases = [(t, size) for t in (random_tree(rng, 9),
+                                     random_tree(rng, 9, low=0.1, high=0.1))
+                 for size in (2, 3, 4)] + [(star, 5)]
+        for t, size in cases:
+            dist = tree_metric(t)
+            pts = [int(v) for v in rng.choice(t.n, size=size, replace=False)]
+            mu, nu = split_support(rng, pts)
+            assert kr_bruteforce(mu, nu, dist) == kr_loop(mu, nu, dist)
+
+    def test_chunk_of_singular_subsets(self, monkeypatch, rng):
+        # rows 0 and 1 are +-e_0, so the first C(18, 2) four-subsets of the
+        # 20 rows all contain both and are singular: one whole chunk
+        monkeypatch.setattr(measures, "SUBSET_BLOCK", math.comb(18, 2))
+        mu, nu = split_support(rng, [0.0, 1.0, 2.0, 3.0])
+        assert kr_bruteforce(mu, nu, line_dist) == kr_loop(mu, nu, line_dist)
+
+    @pytest.mark.parametrize("block,size", [(1, 3), (1, 4), (7, 4), (7, 5),
+                                            (math.comb(30, 5) + 1, 5)])
+    def test_chunk_size_does_not_matter(self, monkeypatch, rng, block, size):
+        cases = [split_support(rng, [float(p) for p in range(size)])]
+        if size < 5:
+            cases += [split_support(rng, [float(p) for p in rng.uniform(0.0, 3.0, size)])
+                      for _ in range(2)]
+        want = [kr_bruteforce(mu, nu, line_dist) for mu, nu in cases]
+        monkeypatch.setattr(measures, "SUBSET_BLOCK", block)
+        assert [kr_bruteforce(mu, nu, line_dist) for mu, nu in cases] == want
+
+    def test_limits(self):
+        six = FiniteAtomMeasure(tuple(float(p) for p in range(6)), (1.0,) * 6)
+        with pytest.raises(MeasureError, match="5 support points"):
+            kr_bruteforce(six, FiniteAtomMeasure((), ()), line_dist)
+        with pytest.raises(MeasureError, match="5 support points"):
+            kr_bruteforce(dirac(0.0), FiniteAtomMeasure(tuple(range(1, 6)),
+                                                        (1.0,) * 5), line_dist)
+        empty = FiniteAtomMeasure((), ())
+        assert kr_bruteforce(empty, empty, line_dist) == 0.0
 
 
 class TestHausdorff:

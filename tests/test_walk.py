@@ -421,3 +421,20 @@ class TestGeneratorAndEnergy:
         assert e1 == pytest.approx(e2)
         with pytest.raises(ChainError):
             generator_apply(chain, [1.0, 2.0])
+
+    def test_scalar_is_a_constant_function(self):
+        chain = build_chain(y_tree(), SpeedMeasure([1.0, 2.0, 1.0, 3.0]))
+        assert np.array_equal(generator_apply(chain, 2.5),
+                              generator_apply(chain, np.full(4, 2.5)))
+        assert dirichlet_energy(chain, 2.5) == 0.0
+
+    def test_wrong_length_names_the_expected_length(self):
+        chain = build_chain(y_tree(), SpeedMeasure([1.0, 1.0, 1.0, 1.0]))
+        with pytest.raises(ChainError, match="expected length 4"):
+            dirichlet_energy(chain, np.ones(5))
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_mapping_key_outside_the_tree(self, bad):
+        chain = build_chain(y_tree(), SpeedMeasure([1.0, 1.0, 1.0, 1.0]))
+        with pytest.raises(ChainError, match=f"vertex {bad}, outside 0..3"):
+            generator_apply(chain, {bad: 1.0})
