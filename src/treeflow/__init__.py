@@ -2,7 +2,7 @@
 
 A tree plus a positive vertex measure determines a continuous time walk:
 conductance 1/length per edge, jump rates conductance / (2 * vertex mass).
-The package builds such trees, runs the walk singly or in ensembles,
+The package builds such trees, samples ensembles of the walk in lockstep,
 evaluates the classical exact formulas (scale, green kernel, occupation,
 heat kernel, entrance times) against independent solvers, and measures
 convergence of walk laws across refining tree families.
@@ -25,18 +25,12 @@ from .tree import (
 )
 from .walk import (
     ChainError,
-    StopRule,
     WalkChain,
-    WalkPath,
-    batch_simulate,
     build_chain,
     dirichlet_energy,
     export_paths_csv,
     generator_apply,
     lockstep_ensemble,
-    max_displacement,
-    occupation_times,
-    simulate,
 )
 from .exact import (
     AtomLaw,

@@ -54,9 +54,7 @@ from .tree import (
     spanned_subtree,
 )
 from .walk import (
-    StopRule,
     WalkChain,
-    batch_simulate,
     build_chain,
     export_paths_csv,
     lockstep_ensemble,
@@ -173,13 +171,18 @@ class ExperimentConfig:
             problem = check(family[key]) if key in family else None
             if problem:
                 raise ConfigError(f"family.{key}: {problem}, got {family[key]!r}")
-        if self.experiment == "stone" and "reference_level" in family:
-            ref = family["reference_level"]
+        if self.experiment == "stone":
+            ref = family.get("reference_level", 2 * max(self.n_list))
             if any(ref % n for n in self.n_list):
+                origin = ("" if "reference_level" in family
+                          else " (the default, 2 * max(n_list))")
                 raise ConfigError(
                     f"family.reference_level: must be a multiple of every n in "
-                    f"n_list, got {ref!r}")
+                    f"n_list, got {ref!r}{origin}")
         if self.experiment == "coalescent":
+            if min(self.n_list) < 2:
+                raise ConfigError(f"n_list: coalescent sizes must be at least 2, "
+                                  f"got {min(self.n_list)!r}")
             kind = family.get("kind", "kingman")
             for key in {"beta": ("a", "b"), "atoms": ("atoms",)}.get(kind, ()):
                 if key not in family:
@@ -762,8 +765,6 @@ def stone_level(n: int, span_exponent: int = 2):
 
 def _stone_reference_ids(n: int, ref: int, span_exponent: int):
     """Map level-n vertices onto the reference lattice (n must divide ref)."""
-    if ref % n != 0:
-        raise ConfigError("family.reference_level: must be a multiple of every n")
     stride = ref // n
     big_k, big_kr = span_exponent * n, span_exponent * ref
     m = 4 * big_k + 3
@@ -1074,18 +1075,18 @@ def run_kesten_demo(config: ExperimentConfig, write: bool = True,
             gap, 1e-9, 1e-9, report.ok,
             _seed_label(config.master_seed, 12, n)))
         chain = build_chain(tree, measure)
-        stop = StopRule(horizon=max(times))
-        summary = batch_simulate(chain, tree.root, stop, config.replicates,
-                                 config.master_seed + int(n), keep_paths=dump_paths)
-        ends = np.array(summary.endpoints)
-        mean_end_height = float(tree.height[ends].mean())
+        ens = lockstep_ensemble(chain, tree.root, (),
+                                _spawn(config.master_seed, 12, n, 1),
+                                config.replicates, horizon=max(times),
+                                keep_paths=dump_paths)
+        mean_end_height = float(tree.height[ens.endpoints].mean())
         rows.append({"n": int(n), "states": chain.n_states,
                      "diameter": tree.diameter(),
                      "total_mass": float(measure.masses.sum()),
                      "mean_end_height": mean_end_height,
                      "replicates": config.replicates})
-        if dump_paths and summary.paths:
-            paths_out.append((f"kesten-n{n}", summary.paths))
+        if dump_paths:
+            paths_out.append((f"kesten-n{n}", ens.paths))
         if write:
             _save_generated(config, f"kesten-n{n}", tree, measure, {
                 "kind": "kesten", "params": {"n": int(n), "horizon": horizon},
@@ -1109,17 +1110,13 @@ def run_coalescent_demo(config: ExperimentConfig, write: bool = True) -> RunArti
     records = []
     rows = []
     for n in config.n_list:
-        if int(n) < 2:
-            raise ConfigError("n_list: coalescent sizes must be at least 2")
         if kind == "kingman":
             spec = CoalescentSpec.kingman(int(n))
         elif kind == "beta":
             spec = CoalescentSpec.beta(int(n), float(config.family["a"]),
                                        float(config.family["b"]))
-        elif kind == "atoms":
-            spec = CoalescentSpec.point_masses(int(n), config.family["atoms"])
         else:
-            raise ConfigError(f"family.kind: unknown coalescent kind {kind!r}")
+            spec = CoalescentSpec.point_masses(int(n), config.family["atoms"])
         seed = _spawn(config.master_seed, 13, n)
         ct = coalescent_tree(spec, seed)
         tree = ct.tree

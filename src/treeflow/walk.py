@@ -12,29 +12,24 @@ c'_ij = c_i * c_j / sum(c) reproduces the law of the watched process on the
 remaining states (the rule is the one-vertex Schur complement of the
 conductance Laplacian, which preserves effective resistances).
 
-Simulation is exact and event by event; nothing is discretized in time.
-`simulate` records one path, and `batch_simulate` derives one child seed per
-replicate from the master seed, so replicate k is reproducible on its own.
+Sampling is exact and event by event; nothing is discretized in time.
 `lockstep_ensemble` steps a whole ensemble at once from a single generator
-and returns only end times, endpoints and one holding time per replicate.
+and returns end times, endpoints and one holding time per replicate, and on
+request the log of every path.
 """
 
 from __future__ import annotations
 
 import csv
-import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .tree import FLOAT_SLACK, RootedMetricTree, SpeedMeasure
 
-BOUNDARY = -1
-JUMP_CAP = 10_000_000
 SWEEP_CAP = 2_000_000
 
 
@@ -43,7 +38,7 @@ class ChainError(ValueError):
 
 
 class JumpCapExceeded(RuntimeError):
-    """A path exceeded JUMP_CAP jumps, or an ensemble SWEEP_CAP sweeps."""
+    """A lockstep ensemble exceeded SWEEP_CAP sweeps."""
 
 
 class WalkChain:
@@ -69,7 +64,6 @@ class WalkChain:
         self.cond = [np.array(a, dtype=np.float64) for a in cond]
         self.rates = [self.cond[i] / (2.0 * self.mass[i]) for i in range(n)]
         self.exit_rate = np.array([r.sum() for r in self.rates])
-        self.cum_rates = [np.cumsum(r) for r in self.rates]
 
     @cached_property
     def jump_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -84,7 +78,7 @@ class WalkChain:
         for i in range(n):
             k = len(self.nbr[i])
             nbr[i, :k] = self.nbr[i]
-            cum[i, :k] = self.cum_rates[i] / self.exit_rate[i]
+            cum[i, :k] = np.cumsum(self.rates[i]) / self.exit_rate[i]
             cum[i, k - 1] = 1.0   # guard the top against rounding
         return nbr, cum
 
@@ -186,55 +180,6 @@ def build_chain(tree: RootedMetricTree, measure: SpeedMeasure) -> WalkChain:
     return WalkChain(tree, states, mass, pair)
 
 
-@dataclass(frozen=True)
-class StopRule:
-    """First-triggered-wins stopping: time horizon, hitting set, or root radius."""
-
-    horizon: Optional[float] = None
-    hitting: Optional[frozenset] = None
-    radius: Optional[float] = None
-
-    def __post_init__(self):
-        if self.horizon is None and self.hitting is None and self.radius is None:
-            raise ChainError("stop rule needs a horizon, a hitting set, or a radius")
-        if self.horizon is not None and self.horizon < 0:
-            raise ChainError("horizon must be nonnegative")
-        if self.radius is not None and self.radius <= 0:
-            raise ChainError("radius must be positive")
-        if self.hitting is not None and not isinstance(self.hitting, frozenset):
-            object.__setattr__(self, "hitting", frozenset(int(v) for v in self.hitting))
-
-
-@dataclass
-class WalkPath:
-    """Piecewise-constant trajectory: states[k] holds on [jump_times[k-1], jump_times[k])."""
-
-    states: list[int]
-    jump_times: list[float]
-    end_time: float
-    stop_reason: str                      # "horizon" | "hit" | "boundary"
-    absorbed_at: Optional[tuple[float, int]] = None
-
-    @property
-    def hitting_time(self) -> Optional[float]:
-        return self.end_time if self.stop_reason == "hit" else None
-
-    @property
-    def endpoint(self) -> int:
-        return self.states[-1]
-
-    def state_at(self, time: float) -> int:
-        if time < 0 or time > self.end_time + FLOAT_SLACK:
-            raise ChainError("time outside recorded path")
-        i = 0
-        for k, tk in enumerate(self.jump_times):
-            if tk <= time:
-                i = k + 1
-            else:
-                break
-        return self.states[i]
-
-
 def rng_from(seed) -> np.random.Generator:
     """Coerce an int, SeedSequence, or Generator into a Generator."""
     if isinstance(seed, np.random.Generator):
@@ -244,105 +189,12 @@ def rng_from(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def derive_seed(master_seed: int, replicate: int) -> np.random.SeedSequence:
-    """Normative per-replicate seed: hash of (master, replicate index)."""
-    return np.random.SeedSequence(entropy=master_seed, spawn_key=(replicate,))
-
-
 def _state_index(chain: WalkChain, vertex, role: str) -> int:
     """Chain index of a vertex; ChainError naming it if it is not a state."""
     i = chain.index.get(int(vertex))
     if i is None:
         raise ChainError(f"{role} vertex {vertex} is not a chain state")
     return i
-
-
-def simulate(chain: WalkChain, start: int, stop: StopRule, seed,
-             jump_cap: int = JUMP_CAP) -> WalkPath:
-    """Exact event-driven sample of the chain until the stop rule triggers.
-
-    Raises ChainError before sampling if ``start`` or a hitting vertex is not
-    a chain state, and JumpCapExceeded after ``jump_cap`` jumps.
-    """
-    _state_index(chain, start, "start")
-    for v in stop.hitting or ():
-        _state_index(chain, v, "hitting")
-    rng = rng_from(seed)
-    heights = chain.tree.height
-    hitting = stop.hitting
-    radius = stop.radius
-    horizon = stop.horizon
-
-    cur = chain.index[start]
-    states = [int(start)]
-    jump_times: list[float] = []
-    t = 0.0
-
-    if hitting is not None and int(start) in hitting:
-        return WalkPath(states, jump_times, 0.0, "hit")
-    if radius is not None and heights[start] >= radius - FLOAT_SLACK:
-        return WalkPath(states, jump_times, 0.0, "boundary", absorbed_at=(0.0, BOUNDARY))
-    if horizon is not None and horizon == 0.0:
-        return WalkPath(states, jump_times, 0.0, "horizon")
-
-    exit_rate = chain.exit_rate
-    cum = chain.cum_rates
-    nbr = chain.nbr
-    svals = chain.states
-    while True:
-        ex = exit_rate[cur]
-        dt = rng.exponential() / ex
-        nt = t + dt
-        if horizon is not None and nt > horizon:
-            return WalkPath(states, jump_times, horizon, "horizon")
-        t = nt
-        u = rng.random() * ex
-        row = cum[cur]
-        j = int(np.searchsorted(row, u, side="right"))
-        if j >= len(row):
-            j = len(row) - 1
-        cur = int(nbr[cur][j])
-        v = int(svals[cur])
-        states.append(v)
-        jump_times.append(t)
-        if hitting is not None and v in hitting:
-            return WalkPath(states, jump_times, t, "hit")
-        if radius is not None and heights[v] >= radius - FLOAT_SLACK:
-            return WalkPath(states, jump_times, t, "boundary", absorbed_at=(t, BOUNDARY))
-        if len(jump_times) >= jump_cap:
-            raise JumpCapExceeded(f"path exceeded {jump_cap} jumps")
-
-
-def occupation_times(path: WalkPath, until: Optional[float] = None) -> dict[int, float]:
-    """Time spent in each state before ``until`` (default: the whole path)."""
-    if until is None:
-        until = path.end_time
-    if until < 0 or until > path.end_time + FLOAT_SLACK:
-        raise ChainError("until outside recorded path")
-    out: dict[int, float] = {}
-    times = [0.0] + path.jump_times + [path.end_time]
-    for k, s in enumerate(path.states):
-        a = min(times[k], until)
-        b = min(times[k + 1], until)
-        if b > a:
-            out[s] = out.get(s, 0.0) + (b - a)
-    return out
-
-
-def max_displacement(path: WalkPath, tree: RootedMetricTree, x: int,
-                     until: Optional[float] = None) -> float:
-    """Largest distance from x reached by the path before ``until``."""
-    if until is None:
-        until = path.end_time
-    best = 0.0
-    entry = [0.0] + path.jump_times
-    for s, te in zip(path.states, entry):
-        if te > until:
-            break
-        d = tree.distance(x, s)
-        if d > best:
-            best = d
-    return best
 
 
 def generator_apply(chain: WalkChain, f) -> np.ndarray:
@@ -390,77 +242,6 @@ def vertex_function(tree: RootedMetricTree, f, error=ChainError) -> np.ndarray:
 
 
 @dataclass
-class EnsembleSummary:
-    """Per-replicate outcomes of a batch, ordered by replicate index."""
-
-    replicates: int
-    master_seed: int
-    start: int
-    endpoints: list[int]
-    end_times: list[float]
-    hitting_times: list[Optional[float]]
-    stop_reasons: list[str]
-    jump_counts: list[int]
-    occupations: list[dict[int, float]]
-    paths: Optional[list[WalkPath]] = None
-
-    def mean_hitting_time(self):
-        vals = [t for t in self.hitting_times if t is not None]
-        if not vals:
-            return None, None, 0
-        arr = np.array(vals)
-        se = arr.std(ddof=1) / math.sqrt(len(arr)) if len(arr) > 1 else 0.0
-        return float(arr.mean()), float(se), len(arr)
-
-    def occupation_matrix(self, vertices: Sequence[int]) -> np.ndarray:
-        out = np.zeros((self.replicates, len(vertices)))
-        pos = {int(v): i for i, v in enumerate(vertices)}
-        for r, occ in enumerate(self.occupations):
-            for v, tv in occ.items():
-                if v in pos:
-                    out[r, pos[v]] = tv
-        return out
-
-    def to_json(self) -> str:
-        payload = {
-            "replicates": self.replicates,
-            "master_seed": self.master_seed,
-            "start": self.start,
-            "endpoints": self.endpoints,
-            "end_times": self.end_times,
-            "hitting_times": self.hitting_times,
-            "stop_reasons": self.stop_reasons,
-            "jump_counts": self.jump_counts,
-            "occupations": [
-                {str(k): v for k, v in sorted(occ.items())} for occ in self.occupations
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
-
-
-def batch_simulate(chain: WalkChain, start: int, stop: StopRule, replicates: int,
-                   master_seed: int, keep_paths: bool = False,
-                   jump_cap: int = JUMP_CAP) -> EnsembleSummary:
-    """Run independent replicates; replicate k always uses derive_seed(master, k)."""
-    if replicates < 1:
-        raise ChainError("replicates must be at least 1")
-    paths = [simulate(chain, start, stop, derive_seed(master_seed, k), jump_cap=jump_cap)
-             for k in range(replicates)]
-    return EnsembleSummary(
-        replicates=replicates,
-        master_seed=master_seed,
-        start=int(start),
-        endpoints=[p.endpoint for p in paths],
-        end_times=[p.end_time for p in paths],
-        hitting_times=[p.hitting_time for p in paths],
-        stop_reasons=[p.stop_reason for p in paths],
-        jump_counts=[len(p.jump_times) for p in paths],
-        occupations=[occupation_times(p) for p in paths],
-        paths=paths if keep_paths else None,
-    )
-
-
-@dataclass
 class LockstepResult:
     """Per-replicate outcomes of `lockstep_ensemble`, one array entry each."""
 
@@ -468,11 +249,15 @@ class LockstepResult:
     endpoints: np.ndarray     # vertex id held at the end time
     stopped: np.ndarray       # True where a stop state was entered
     occupation: np.ndarray    # holding time at ``occupy`` before the end
+    # with keep_paths: aligned (replicate, time, vertex) arrays, one entry
+    # per state a walk holds, ordered by replicate and then by time
+    paths: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
 
 def lockstep_ensemble(chain: WalkChain, start: int, stop_states, seed,
                       replicates: int, horizon: Optional[float] = None,
-                      occupy: Optional[int] = None) -> LockstepResult:
+                      occupy: Optional[int] = None,
+                      keep_paths: bool = False) -> LockstepResult:
     """Run ``replicates`` walks from ``start`` in lockstep until each stops.
 
     A walk stops when it enters a vertex of ``stop_states`` (at time 0 if it
@@ -480,7 +265,10 @@ def lockstep_ensemble(chain: WalkChain, start: int, stop_states, seed,
     comes first.  Each sweep moves every running walk one jump, drawing
     ``exponential(size=alive)`` and then ``random(size=alive)`` from one
     generator in ascending replicate order.  The occupation is the time held
-    at ``occupy`` before the end (zero without ``occupy``).
+    at ``occupy`` before the end (zero without ``occupy``).  With
+    ``keep_paths`` the result also logs ``(r, 0.0, start)`` and every jump
+    taken before the end, at most one entry per replicate and sweep; the
+    flag changes no draw.
 
     Raises ChainError before sampling if ``start``, a stop state or ``occupy``
     is not a chain state, or if no stop state and no horizon are given, and
@@ -507,6 +295,8 @@ def lockstep_ensemble(chain: WalkChain, start: int, stop_states, seed,
     rows = np.flatnonzero(~stopped)
     cur = np.full(rows.size, s0, dtype=np.int64)
     t = np.zeros(rows.size)
+    if keep_paths:
+        log = [(np.arange(replicates), np.zeros(replicates), end_state.copy())]
     sweeps = 0
     while rows.size:
         sweeps += 1
@@ -523,24 +313,34 @@ def lockstep_ensemble(chain: WalkChain, start: int, stop_states, seed,
         if horizon is None:
             t, cur = t_new, nxt
             hit = done = is_stop[nxt]
+            jumped = slice(None)
         else:
             late = t_new > horizon
             t = np.where(late, horizon, t_new)
             cur = np.where(late, cur, nxt)
             hit = ~late & is_stop[nxt]
             done = late | hit
+            jumped = ~late
+        if keep_paths:
+            log.append((rows[jumped], t[jumped], cur[jumped]))
         if done.any():
             fin, keep = rows[done], ~done
             stopped[fin], end_t[fin], end_state[fin] = hit[done], t[done], cur[done]
             rows, cur, t = rows[keep], cur[keep], t[keep]
-    return LockstepResult(end_t, chain.states[end_state], stopped, occ)
+    paths = None
+    if keep_paths:
+        rep, time, state = (np.concatenate(col) for col in zip(*log))
+        order = np.argsort(rep, kind="stable")
+        paths = (rep[order], time[order], chain.states[state[order]])
+    return LockstepResult(end_t, chain.states[end_state], stopped, occ, paths)
 
 
-def export_paths_csv(paths: Iterable[WalkPath], fh):
-    """Rows replicate,jump_index,time,state; index 0 is the starting state."""
+def export_paths_csv(paths: tuple[np.ndarray, np.ndarray, np.ndarray], fh):
+    """Rows replicate,jump_index,time,state from `LockstepResult.paths`;
+    index 0 is the starting state."""
+    rep, time, vertex = paths
+    jump_index = np.arange(rep.size) - np.searchsorted(rep, rep)
     writer = csv.writer(fh)
     writer.writerow(["replicate", "jump_index", "time", "state"])
-    for r, p in enumerate(paths):
-        writer.writerow([r, 0, repr(0.0), p.states[0]])
-        for k, (t, s) in enumerate(zip(p.jump_times, p.states[1:]), start=1):
-            writer.writerow([r, k, repr(float(t)), s])
+    writer.writerows(zip(rep.tolist(), jump_index.tolist(),
+                         map(repr, time.tolist()), vertex.tolist()))

@@ -26,8 +26,8 @@ from treeflow.exact import (
     tree_energy,
 )
 from treeflow.harness import stone_level
-from treeflow.tree import SpeedMeasure, build_tree
-from treeflow.walk import StopRule, batch_simulate, build_chain
+from treeflow.tree import FLOAT_SLACK, SpeedMeasure, build_tree
+from treeflow.walk import build_chain, lockstep_ensemble
 from conftest import path_tree, random_masses, random_tree
 
 
@@ -145,9 +145,8 @@ class TestScaleAndCapacity:
         m = SpeedMeasure([1.0, 0.4, 2.0, 1.0])
         chain = build_chain(t, m)
         p = hitting_prob(t, 1, 0, 3)
-        s = batch_simulate(chain, 1, StopRule(hitting=frozenset({0, 3})),
-                           replicates=4000, master_seed=2718)
-        freq = np.mean([e == 0 for e in s.endpoints])
+        ends = lockstep_ensemble(chain, 1, (0, 3), 2718, 4000).endpoints
+        freq = np.mean(ends == 0)
         se = math.sqrt(p * (1 - p) / 4000)
         assert abs(freq - p) <= 3.5 * se
 
@@ -230,9 +229,8 @@ class TestBounds:
         chain = build_chain(t, m)
         horizon, delta = 0.4, 0.9
         bound = hit_bound(t, m, 0, 4, horizon, delta)
-        s = batch_simulate(chain, 0, StopRule(horizon=horizon, hitting=frozenset({4})),
-                           replicates=3000, master_seed=424242)
-        freq = np.mean([r == "hit" for r in s.stop_reasons])
+        hit = lockstep_ensemble(chain, 0, (4,), 424242, 3000, horizon=horizon).stopped
+        freq = np.mean(hit)
         se = math.sqrt(max(freq * (1 - freq), 1e-6) / 3000)
         assert freq <= bound + 3 * se
 
@@ -266,9 +264,10 @@ class TestBounds:
         eps, delta, horizon = 1.2, 0.6, 0.2
         bound = speed_bound(t, m, 0, horizon, eps, delta)
         assert bound < math.inf
-        s = batch_simulate(chain, 0, StopRule(horizon=horizon, radius=eps),
-                           replicates=3000, master_seed=31415)
-        freq = np.mean([r == "boundary" for r in s.stop_reasons])
+        # the walk stops on reaching distance eps from the root
+        beyond = [v for v in chain.states if t.height[v] >= eps - FLOAT_SLACK]
+        left = lockstep_ensemble(chain, 0, beyond, 31415, 3000, horizon=horizon).stopped
+        freq = np.mean(left)
         se = math.sqrt(max(freq * (1 - freq), 1e-6) / 3000)
         assert freq <= bound + 3 * se
 

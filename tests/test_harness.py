@@ -299,6 +299,9 @@ class TestRunners:
         with pytest.raises(ConfigError, match="reference_level"):
             tiny("stone", family={"span_exponent": 2, "reference_level": 9},
                  n_list=(2,), output_dir=str(tmp_path / "s"))
+        # the default level, 2 * max(n_list) = 8, is not a multiple of 3
+        with pytest.raises(ConfigError, match=r"got 8 \(the default"):
+            tiny("stone", family={}, n_list=(3, 4), output_dir=str(tmp_path / "s"))
 
     def test_stone_level_measure_is_midpoint_rule(self):
         tree, measure, pos = stone_level(2, span_exponent=2)
@@ -387,9 +390,8 @@ class TestRunners:
         with pytest.raises(ConfigError, match="kind"):
             tiny("coalescent", family={"kind": "unknown"}, n_list=(4,),
                  output_dir=str(tmp_path / "x"))
-        cfg = tiny("coalescent", n_list=(1,), output_dir=str(tmp_path / "x"))
-        with pytest.raises(ConfigError, match="at least 2"):
-            run_experiment(cfg, write=False)
+        with pytest.raises(ConfigError, match="at least 2, got 1"):
+            tiny("coalescent", n_list=(4, 1), output_dir=str(tmp_path / "x"))
 
     def test_reports_are_bytewise_deterministic(self, tmp_path):
         outs = []
@@ -471,6 +473,21 @@ class TestCLI:
     def test_bad_family_value_exits_two(self, tmp_path, capsys, experiment,
                                         family, key):
         path = self._config(tmp_path, experiment, family=family,
+                            output_dir=str(tmp_path / "out"))
+        rc = cli_main([experiment, "--config", path])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config error" in err and key in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment, overrides, key", [
+        ("coalescent", {"n_list": [4, 1]}, "n_list: coalescent sizes"),
+        ("stone", {"n_list": [3, 4], "family": {}},
+         "(the default, 2 * max(n_list))"),
+    ])
+    def test_bad_size_exits_two_before_writing(self, tmp_path, capsys,
+                                               experiment, overrides, key):
+        path = self._config(tmp_path, experiment, **overrides,
                             output_dir=str(tmp_path / "out"))
         rc = cli_main([experiment, "--config", path])
         err = capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module or a test file imports is used in that file."""
 
 import ast
 from pathlib import Path
@@ -10,6 +10,7 @@ import treeflow
 PACKAGE = Path(treeflow.__file__).resolve().parent
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -38,6 +39,8 @@ def test_modules_found():
     assert {p.stem for p in MODULES} >= {"tree", "walk", "exact", "harness"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TESTS,
+    ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

@@ -1,4 +1,4 @@
-"""Chain construction, exact rates, and the event-driven sampler."""
+"""Chain construction, exact rates, and the lockstep sampler."""
 
 import io
 import math
@@ -6,23 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from treeflow.tree import SpeedMeasure, build_tree, restrict
+from treeflow.tree import FLOAT_SLACK, SpeedMeasure, build_tree, restrict
 from treeflow import walk
 from treeflow.walk import (
-    BOUNDARY,
     ChainError,
     JumpCapExceeded,
-    StopRule,
-    batch_simulate,
     build_chain,
-    derive_seed,
     dirichlet_energy,
     export_paths_csv,
     generator_apply,
     lockstep_ensemble,
-    max_displacement,
-    occupation_times,
-    simulate,
 )
 from conftest import path_tree, random_masses, random_tree
 
@@ -116,39 +109,34 @@ class TestBuildChain:
 
 
 class TestSimulate:
+    """Laws of walks sampled by `lockstep_ensemble`."""
+
     def test_start_must_be_state(self):
         t = y_tree()
         chain = build_chain(t, SpeedMeasure([0.0, 1.0, 1.0, 1.0]))
-        with pytest.raises(ChainError):
-            simulate(chain, 0, StopRule(horizon=1.0), seed=1)
+        with pytest.raises(ChainError, match="start vertex 0 "):
+            lockstep_ensemble(chain, 0, (), 1, 1, horizon=1.0)
 
     def test_immediate_stops(self):
+        # a start in the stop set, or horizon 0, ends every walk at its start
         t = y_tree()
         chain = build_chain(t, SpeedMeasure([1.0, 1.0, 1.0, 1.0]))
-        p = simulate(chain, 1, StopRule(hitting=frozenset({1})), seed=5)
-        assert p.stop_reason == "hit" and p.end_time == 0.0 and p.states == [1]
-        p = simulate(chain, 1, StopRule(radius=0.5), seed=5)
-        assert p.stop_reason == "boundary"
-        assert p.absorbed_at == (0.0, BOUNDARY)
-        p = simulate(chain, 0, StopRule(horizon=0.0), seed=5)
-        assert p.stop_reason == "horizon" and p.states == [0]
-
-    def test_stop_rule_validation(self):
-        with pytest.raises(ChainError):
-            StopRule()
-        with pytest.raises(ChainError):
-            StopRule(horizon=-1.0)
-        with pytest.raises(ChainError):
-            StopRule(radius=0.0)
+        for stop_states, horizon in (((1,), None), ((), 0.0), ((2,), 0.0)):
+            ens = lockstep_ensemble(chain, 1, stop_states, 5, 10, horizon=horizon,
+                                    occupy=1, keep_paths=True)
+            assert not ens.end_times.any() and set(ens.endpoints) == {1}
+            assert not ens.occupation.any()
+            assert np.all(ens.stopped == (1 in stop_states))
+            rep, time, vertex = ens.paths
+            assert np.array_equal(rep, np.arange(10))
+            assert not time.any() and set(vertex) == {1}
 
     def test_holding_time_mean(self):
         t = y_tree(0.5, 1.0, 2.0)
         m = SpeedMeasure([0.8, 1.0, 1.0, 1.0])
         chain = build_chain(t, m)
         lam = chain.exit_rate[chain.index[0]]
-        stop = StopRule(hitting=frozenset({1, 2, 3}))
-        s = batch_simulate(chain, 0, stop, replicates=4000, master_seed=90210)
-        arr = np.array(s.end_times)
+        arr = lockstep_ensemble(chain, 0, (1, 2, 3), 90210, 4000).end_times
         se = arr.std(ddof=1) / math.sqrt(len(arr))
         assert abs(arr.mean() - 1.0 / lam) <= 3.5 * se
 
@@ -157,9 +145,7 @@ class TestSimulate:
         chain = build_chain(t, SpeedMeasure([1.0, 1.0, 1.0, 1.0]))
         cond = {v: 1.0 / ell for v, _, ell in t.edges()}
         tot = sum(cond.values())
-        stop = StopRule(hitting=frozenset({1, 2, 3}))
-        s = batch_simulate(chain, 0, stop, replicates=4000, master_seed=777)
-        ends = np.array(s.endpoints)
+        ends = lockstep_ensemble(chain, 0, (1, 2, 3), 777, 4000).endpoints
         for leaf in (1, 2, 3):
             p = cond[leaf] / tot
             freq = (ends == leaf).mean()
@@ -171,8 +157,11 @@ class TestSimulate:
         m = random_masses(rng, 6)
         chain = build_chain(t, m)
         horizon = 20000.0
-        path = simulate(chain, 0, StopRule(horizon=horizon), seed=4242)
-        occ = occupation_times(path)
+        ens = lockstep_ensemble(chain, 0, (), 4242, 1, horizon=horizon, keep_paths=True)
+        _, time, vertex = ens.paths
+        # the holding times read off the one logged path
+        held = np.diff(np.append(time, ens.end_times[0]))
+        occ = np.bincount(vertex, weights=held, minlength=6)
         tot = m.total
         for v in range(6):
             assert occ[v] / horizon == pytest.approx(m[v] / tot, abs=0.015)
@@ -180,39 +169,34 @@ class TestSimulate:
     def test_occupation_sums_to_end_time(self):
         t = y_tree()
         chain = build_chain(t, SpeedMeasure([1.0, 1.0, 1.0, 1.0]))
-        path = simulate(chain, 0, StopRule(horizon=37.5), seed=3)
-        occ = occupation_times(path)
-        assert sum(occ.values()) == pytest.approx(path.end_time, abs=1e-9)
-        half = occupation_times(path, until=10.0)
-        assert sum(half.values()) == pytest.approx(10.0, abs=1e-9)
+        for stop_states, horizon in (((), 37.5), ((3,), None), ((3,), 2.0)):
+            runs = [lockstep_ensemble(chain, 0, stop_states, 3, 50, horizon=horizon,
+                                      occupy=v) for v in range(4)]
+            total = sum(r.occupation for r in runs)
+            assert np.allclose(total, runs[0].end_times, rtol=0.0, atol=1e-9)
 
-    def test_state_at_and_displacement(self):
-        t = build_tree({1: 0, 2: 1}, {1: 1.0, 2: 1.0}, root=0)
-        chain = build_chain(t, SpeedMeasure([1.0, 1.0, 1.0]))
-        path = simulate(chain, 0, StopRule(horizon=50.0), seed=8)
-        assert path.state_at(0.0) == 0
-        for k, tk in enumerate(path.jump_times):
-            assert path.state_at(tk) == path.states[k + 1]
-        d = max_displacement(path, t, 0)
-        assert d in (0.0, 1.0, 2.0)
-        assert d == max(t.distance(0, s) for s in path.states)
-
-    def test_jump_cap(self):
+    def test_jump_cap(self, monkeypatch):
+        # a far horizon on a two-state chain: only the sweep cap ends the run
         t = build_tree({1: 0}, {1: 1.0}, root=0)
         chain = build_chain(t, SpeedMeasure([1.0, 1.0]))
-        with pytest.raises(JumpCapExceeded):
-            simulate(chain, 0, StopRule(horizon=1e9), seed=11, jump_cap=50)
+        monkeypatch.setattr(walk, "SWEEP_CAP", 50)
+        with pytest.raises(JumpCapExceeded, match="50 sweeps"):
+            lockstep_ensemble(chain, 0, (), 11, 1, horizon=1e9)
 
     def test_radius_stop_absorbs_at_boundary(self):
         t = build_tree({1: 0, 2: 1, 3: 2}, {1: 1.0, 2: 1.0, 3: 1.0}, root=0)
         chain = build_chain(t, SpeedMeasure([1.0] * 4))
-        path = simulate(chain, 0, StopRule(radius=2.0), seed=21)
-        assert path.stop_reason == "boundary"
-        assert path.endpoint == 2
-        assert path.absorbed_at == (path.end_time, BOUNDARY)
+        ens = lockstep_ensemble(chain, 0, stop_beyond(t, chain, 2.0), 21, 20,
+                                keep_paths=True)
+        assert ens.stopped.all() and set(ens.endpoints) == {2}
         # no state before the end may sit at distance >= 2
-        for s in path.states[:-1]:
-            assert t.height[s] < 2.0
+        for _, vertices in per_replicate(ens.paths):
+            assert vertices[-1] == 2 and np.all(t.height[vertices[:-1]] < 2.0)
+
+
+def stop_beyond(tree, chain, radius):
+    """States at height radius or more: the walk stops on reaching them."""
+    return [int(v) for v in chain.states if tree.height[v] >= radius - FLOAT_SLACK]
 
 
 class TestRestrictionEquivalence:
@@ -227,50 +211,39 @@ class TestRestrictionEquivalence:
             sub, subm, old_ids = restrict(t, m, radius + longest)
             chain = build_chain(t, m)
             subchain = build_chain(sub, subm)
-            stop = StopRule(radius=radius, horizon=200.0)
             seed = 1000 + trial
-            p_full = simulate(chain, 0, stop, seed=seed)
-            p_sub = simulate(subchain, 0, stop, seed=seed)
-            mapped = [int(old_ids[s]) for s in p_sub.states]
-            assert mapped == p_full.states
-            assert p_sub.jump_times == p_full.jump_times
-            assert p_sub.stop_reason == p_full.stop_reason
+            full = lockstep_ensemble(chain, 0, stop_beyond(t, chain, radius), seed, 1,
+                                     horizon=200.0, keep_paths=True)
+            part = lockstep_ensemble(subchain, 0, stop_beyond(sub, subchain, radius),
+                                     seed, 1, horizon=200.0, keep_paths=True)
+            assert np.array_equal(part.end_times, full.end_times)
+            assert np.array_equal(old_ids[part.endpoints], full.endpoints)
+            assert np.array_equal(part.stopped, full.stopped)
+            assert np.array_equal(part.paths[0], full.paths[0])
+            assert np.array_equal(part.paths[1], full.paths[1])
+            assert np.array_equal(old_ids[part.paths[2]], full.paths[2])
 
 
 class TestBatch:
-    def test_replicate_seed_is_positional(self):
-        t = y_tree()
-        chain = build_chain(t, SpeedMeasure([1.0, 1.0, 1.0, 1.0]))
-        stop = StopRule(horizon=3.0)
-        s = batch_simulate(chain, 0, stop, replicates=8, master_seed=31337, keep_paths=True)
-        solo = simulate(chain, 0, stop, seed=derive_seed(31337, 5))
-        assert s.paths[5].states == solo.states
-        assert s.paths[5].jump_times == solo.jump_times
-
-    def test_summary_accessors_and_json(self):
-        t = y_tree()
-        chain = build_chain(t, SpeedMeasure([1.0, 1.0, 1.0, 1.0]))
-        s = batch_simulate(chain, 0, StopRule(hitting=frozenset({2})),
-                           replicates=16, master_seed=9)
-        mean, se, count = s.mean_hitting_time()
-        assert count == 16 and mean is not None and se is not None
-        blob = s.to_json()
-        assert '"master_seed": 9' in blob
-        mat = s.occupation_matrix([0, 1, 2, 3])
-        assert mat.shape == (16, 4)
-        assert np.allclose(mat.sum(axis=1), s.end_times, atol=1e-9)
-
     def test_paths_csv(self):
         t = y_tree()
         chain = build_chain(t, SpeedMeasure([1.0, 1.0, 1.0, 1.0]))
-        s = batch_simulate(chain, 0, StopRule(horizon=2.0), replicates=3,
-                           master_seed=12, keep_paths=True)
+        ens = lockstep_ensemble(chain, 0, (), 12, 3, horizon=2.0, keep_paths=True)
+        rep, time, vertex = ens.paths
         buf = io.StringIO()
-        export_paths_csv(s.paths, buf)
+        export_paths_csv(ens.paths, buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "replicate,jump_index,time,state"
-        assert len(lines) == 1 + sum(1 + len(p.jump_times) for p in s.paths)
+        assert len(lines) == 1 + rep.size
         assert lines[1].startswith("0,0,0.0,")
+        for line, r, tk, v in zip(lines[1:], rep, time, vertex):
+            cols = line.split(",")
+            assert (int(cols[0]), float(cols[2]), int(cols[3])) == (r, tk, v)
+            assert cols[2] == repr(float(tk))
+        index = [int(line.split(",")[1]) for line in lines[1:]]
+        starts = [i for i, k in enumerate(index) if k == 0]
+        assert starts == [int(np.searchsorted(rep, r)) for r in range(3)]
+        assert all(b == a + 1 for a, b in zip(index, index[1:]) if b)
 
 
 def no_sampling(seed):
@@ -288,11 +261,8 @@ class TestBadVertices:
     def test_simulate_rejects_hitting_vertex(self, monkeypatch, bad):
         chain = self.chain_with_eliminated_middle()
         monkeypatch.setattr(walk, "rng_from", no_sampling)
-        stop = StopRule(hitting=frozenset({2, bad}))
-        with pytest.raises(ChainError, match=f"vertex {bad} "):
-            simulate(chain, 0, stop, seed=1)
-        with pytest.raises(ChainError, match=f"vertex {bad} "):
-            batch_simulate(chain, 0, stop, replicates=4, master_seed=1)
+        with pytest.raises(ChainError, match=f"stop vertex {bad} "):
+            lockstep_ensemble(chain, 0, (2, bad), 1, 4)
 
     @pytest.mark.parametrize("kwargs, role", [
         ({"start": 1}, "start"),
@@ -322,7 +292,10 @@ class TestBadVertices:
 
 
 def masked_reference(chain, start, stop_states, seed, reps, horizon=None, occupy=None):
-    """Lockstep ensemble without compaction: walks that ended stay masked."""
+    """Lockstep ensemble without compaction: walks that ended stay masked.
+
+    Also returns the path log, kept as one Python list per replicate.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     nbr, cum = chain.jump_table
     limit = np.inf if horizon is None else horizon
@@ -330,6 +303,7 @@ def masked_reference(chain, start, stop_states, seed, reps, horizon=None, occupy
     state = np.full(reps, chain.index[start])
     t = np.zeros(reps)
     occ = np.zeros(reps)
+    log = [[(0.0, int(start))] for _ in range(reps)]
     alive = ~stop[state]
     while alive.any():
         cur, t_old = state[alive], t[alive]
@@ -340,11 +314,24 @@ def masked_reference(chain, start, stop_states, seed, reps, horizon=None, occupy
         if occupy is not None:
             held = np.where(late, limit - t_old, dt)
             occ[alive] += np.where(cur == chain.index[occupy], held, 0.0)
+        for r, tr, v, gone in zip(np.flatnonzero(alive), t_old + dt, nxt, late):
+            if not gone:
+                log[r].append((tr, int(chain.states[v])))
         t[alive] = np.where(late, limit, t_old + dt)
         state[alive] = np.where(late, cur, nxt)
         ended = late | stop[nxt]
         alive[np.flatnonzero(alive)[ended]] = False
-    return t, chain.states[state], stop[state], occ
+    paths = (np.repeat(np.arange(reps), [len(p) for p in log]),
+             np.array([tr for p in log for tr, _ in p]),
+             np.array([v for p in log for _, v in p]))
+    return t, chain.states[state], stop[state], occ, paths
+
+
+def per_replicate(paths):
+    """Split the (replicate, time, vertex) log into one (times, vertices) each."""
+    rep, time, vertex = paths
+    cuts = np.flatnonzero(np.diff(rep)) + 1
+    return list(zip(np.split(time, cuts), np.split(vertex, cuts)))
 
 
 class TestLockstep:
@@ -355,11 +342,39 @@ class TestLockstep:
             chain = build_chain(t, random_masses(rng, 9))
             horizon = (None, 1.5)[trial % 2]
             args = (chain, 0, (8,), 40 + trial, 300)
-            ens = lockstep_ensemble(*args, horizon=horizon, occupy=3)
+            ens = lockstep_ensemble(*args, horizon=horizon, occupy=3, keep_paths=True)
             want = masked_reference(*args, horizon=horizon, occupy=3)
             got = (ens.end_times, ens.endpoints, ens.stopped, ens.occupation)
-            for g, w in zip(got, want):
+            for g, w in zip(got + ens.paths, want[:4] + want[4]):
                 assert np.array_equal(g, w)
+
+    def test_keep_paths_changes_no_result(self, rng):
+        t = random_tree(rng, 9)
+        chain = build_chain(t, random_masses(rng, 9))
+        for horizon in (None, 1.5):
+            args = (chain, 0, (8,), 11, 200)
+            off = lockstep_ensemble(*args, horizon=horizon, occupy=3)
+            on = lockstep_ensemble(*args, horizon=horizon, occupy=3, keep_paths=True)
+            assert off.paths is None
+            for name in ("end_times", "endpoints", "stopped", "occupation"):
+                assert np.array_equal(getattr(on, name), getattr(off, name))
+
+    def test_path_log_is_ordered_and_ends_at_the_endpoint(self, rng):
+        t = random_tree(rng, 9)
+        chain = build_chain(t, random_masses(rng, 9))
+        for horizon in (None, 1.5):
+            ens = lockstep_ensemble(chain, 0, (8,), 23, 200, horizon=horizon,
+                                    keep_paths=True)
+            rep = ens.paths[0]
+            assert np.array_equal(np.unique(rep), np.arange(200))
+            assert np.all(np.diff(rep) >= 0)
+            for r, (times, vertices) in enumerate(per_replicate(ens.paths)):
+                assert times[0] == 0.0 and vertices[0] == 0
+                assert np.all(np.diff(times[1:]) > 0)
+                assert vertices[-1] == ens.endpoints[r]
+                assert times[-1] <= ens.end_times[r]
+                if ens.stopped[r]:
+                    assert times[-1] == ens.end_times[r]
 
     def test_sweep_cap_raises(self, monkeypatch):
         # the target is 9 edges away, so every walk needs at least 9 sweeps
