@@ -26,7 +26,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.csgraph import depth_first_order
 
 from .tree import FLOAT_SLACK, RootedMetricTree, SpeedMeasure
-from .walk import WalkChain, vertex_function
+from .walk import WalkChain, _state_index, vertex_function
 
 
 class OracleError(ValueError):
@@ -67,16 +67,16 @@ def occupation_solve(chain: WalkChain, x: int, y: int, f=None) -> float:
     Solves -Q[free, free] u = f[free] with one sparse LU, where Q is the
     chain generator and free holds every state but y.
     """
-    if x not in chain.index or y not in chain.index:
-        raise OracleError("x and y must be chain states")
+    ix = _state_index(chain, x, "x", OracleError)
+    iy = _state_index(chain, y, "y", OracleError)
     fv = vertex_function(chain.tree, 1.0 if f is None else f, OracleError)
     if x == y:
         return 0.0
     free = np.ones(chain.n_states, dtype=bool)
-    free[chain.index[y]] = False
+    free[iy] = False
     a = -chain.generator[free][:, free]
     sol = spla.spsolve(a.tocsc(), fv[chain.states[free]])
-    return float(sol[np.count_nonzero(free[:chain.index[x]])])
+    return float(sol[np.count_nonzero(free[:ix])])
 
 
 def expected_hitting(chain: WalkChain, x: int, y: int) -> float:
@@ -311,15 +311,13 @@ def _law_inputs(chain: WalkChain, starts, times):
     Raises OracleError naming a start that is not a chain state, or the
     times when the list is empty or holds a negative or non-finite value.
     """
-    for s in starts:
-        if int(s) not in chain.index:
-            raise OracleError(f"start vertex {s} is not a chain state")
+    idx = [_state_index(chain, s, "start", OracleError) for s in starts]
     tlist = [float(t) for t in times]
     bad = [t for t in tlist if not (math.isfinite(t) and t >= 0)]
     if not tlist or bad:
         raise OracleError("times must be finite, nonnegative and nonempty, "
                           f"got {bad or tlist}")
-    return [chain.index[int(s)] for s in starts], tlist
+    return idx, tlist
 
 
 def _path_order(q: sp.csr_matrix):
@@ -340,9 +338,9 @@ def transition_laws(chain: WalkChain, starts, times) -> np.ndarray:
 
     The generator Q is reversible for the masses m, so S = D^(1/2) Q D^(-1/2)
     with D = diag(m) is symmetric: S[i, j] = c(i, j) / (2 sqrt(m_i m_j)) off
-    the diagonal, formed from the conductance c that Q is built from (one
-    rounding fewer than sqrt(Q[i, j] Q[j, i])), and S[i, i] = Q[i, i].  One
-    eigendecomposition S = V diag(w) V^T gives every law,
+    the diagonal, read off chain.conductance (one rounding fewer than
+    sqrt(Q[i, j] Q[j, i])), and S[i, i] = Q[i, i].  One eigendecomposition
+    S = V diag(w) V^T gives every law,
 
         P_t(x, y) = sqrt(m_y / m_x) sum_k V[x, k] exp(w_k t) V[y, k],
 
@@ -355,12 +353,11 @@ def transition_laws(chain: WalkChain, starts, times) -> np.ndarray:
     """
     idx, tlist = _law_inputs(chain, starts, times)
     n = chain.n_states
-    rows = np.repeat(np.arange(n), [len(a) for a in chain.nbr])
-    cols = np.concatenate(chain.nbr)
-    vals = np.concatenate(chain.cond) / (
-        2.0 * np.sqrt(chain.mass[rows] * chain.mass[cols]))
-    sym = (sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-           + sp.diags(chain.generator.diagonal(), format="csr"))
+    c = chain.conductance
+    m = chain.mass
+    vals = c.data / (2.0 * np.sqrt(np.repeat(m, np.diff(c.indptr)) * m[c.indices]))
+    sym = (sp.csr_matrix((vals, c.indices, c.indptr), shape=(n, n))
+           + sp.diags(-chain.exit_rate, format="csr"))
     order = _path_order(sym)
     if order is None:
         order = np.arange(n)

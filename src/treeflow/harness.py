@@ -11,6 +11,7 @@ deterministic, so reports are byte-stable.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -63,9 +64,6 @@ from .walk import (
 
 EXPERIMENTS = ("verify", "stone", "crt", "binary-entrance", "kesten",
                "coalescent", "fdd")
-
-_CONFIG_FIELDS = ("experiment", "family", "n_list", "times", "replicates",
-                  "master_seed", "output_dir")
 
 
 def _is_number(v) -> bool:
@@ -197,25 +195,19 @@ class ExperimentConfig:
                 f"line {e.lineno}, column {e.colno}: {e.msg}") from None
         if not isinstance(data, dict):
             raise ConfigError("top level must be an object")
-        unknown = set(data) - set(_CONFIG_FIELDS)
+        names = [f.name for f in dataclasses.fields(cls)]
+        unknown = set(data) - set(names)
         if unknown:
             raise ConfigError(f"unknown field {sorted(unknown)[0]!r}")
-        missing = [f for f in _CONFIG_FIELDS if f not in data]
+        missing = [f for f in names if f not in data]
         if missing:
             raise ConfigError(f"missing field {missing[0]!r}")
         if not isinstance(data["n_list"], list):
             raise ConfigError("n_list: must be a list")
         if not isinstance(data["times"], list):
             raise ConfigError("times: must be a list")
-        return cls(
-            experiment=data["experiment"],
-            family=data["family"],
-            n_list=tuple(data["n_list"]),
-            times=tuple(data["times"]),
-            replicates=data["replicates"],
-            master_seed=data["master_seed"],
-            output_dir=data["output_dir"],
-        )
+        return cls(**{**data, "n_list": tuple(data["n_list"]),
+                      "times": tuple(data["times"])})
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -231,20 +223,10 @@ class ExperimentConfig:
         return cls.from_json(res.read_text(encoding="utf-8"))
 
     def replace(self, **kw) -> "ExperimentConfig":
-        data = dict(experiment=self.experiment, family=self.family,
-                    n_list=self.n_list, times=self.times,
-                    replicates=self.replicates, master_seed=self.master_seed,
-                    output_dir=self.output_dir)
-        data.update(kw)
-        return ExperimentConfig(**data)
+        return dataclasses.replace(self, **kw)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"experiment": self.experiment, "family": self.family,
-             "n_list": list(self.n_list), "times": list(self.times),
-             "replicates": self.replicates, "master_seed": self.master_seed,
-             "output_dir": self.output_dir},
-            sort_keys=True, indent=2) + "\n"
+        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 # ------------------------------------------------------------------ records
@@ -543,25 +525,39 @@ def entrance_bound(depth: int) -> float:
     return sum(k * 2.0 ** k * math.exp(-k) for k in range(1, depth + 1))
 
 
+def _entrance_leaf(depth: int) -> int:
+    """Leftmost deepest vertex of binary_tree(depth), in level order."""
+    return 2 ** depth - 1
+
+
+def _entrance_exact(depth: int, h: str):
+    """Root return time from the leftmost deepest leaf of binary_tree(depth).
+
+    Returns the chain, the solved and closed-form times, and the
+    solve-vs-formula and upper-bound records under instance hash ``h``.
+    """
+    tree, measure = binary_tree(depth)
+    chain = build_chain(tree, measure)
+    leaf = _entrance_leaf(depth)
+    solved = exact.expected_hitting(chain, leaf, tree.root)
+    closed = exact.occupation_functional(tree, measure, leaf, tree.root)
+    rel = abs(solved - closed) / closed
+    bound = entrance_bound(depth)
+    records = [
+        CheckRecord("entrance/solve-vs-formula", f"depth={depth}", h, rel,
+                    1e-9, 1e-9, rel <= 1e-9, "deterministic"),
+        CheckRecord("entrance/upper-bound", f"depth={depth}", h, solved,
+                    bound, 0.0, solved <= bound + 1e-12, "deterministic"),
+    ]
+    return chain, solved, closed, records
+
+
 def check_entrance(depths=tuple(range(2, 13))) -> list:
     """Return-time identity and bound on exponentially weighted binary trees."""
     records = []
     for depth in depths:
-        tree, measure = binary_tree(depth)
-        chain = build_chain(tree, measure)
-        leaf = 2 ** depth - 1          # leftmost deepest vertex, level order
-        solved = exact.expected_hitting(chain, leaf, tree.root)
-        closed = exact.occupation_functional(tree, measure, leaf, tree.root)
-        payload = {"check": "entrance", "depth": depth, "leaf": leaf}
-        h = _instance_hash(payload)
-        rel = abs(solved - closed) / closed
-        records.append(CheckRecord(
-            "entrance/solve-vs-formula", f"depth={depth}", h, rel, 1e-9, 1e-9,
-            rel <= 1e-9, "deterministic"))
-        bound = entrance_bound(depth)
-        records.append(CheckRecord(
-            "entrance/upper-bound", f"depth={depth}", h, solved, bound, 0.0,
-            solved <= bound + 1e-12, "deterministic"))
+        payload = {"check": "entrance", "depth": depth, "leaf": _entrance_leaf(depth)}
+        records += _entrance_exact(depth, _instance_hash(payload))[3]
     return records
 
 
@@ -783,22 +779,6 @@ def _law_measure(chain: WalkChain, law: np.ndarray, ids) -> FiniteAtomMeasure:
         {ids[int(s)]: float(law[j]) for j, s in enumerate(chain.states)})
 
 
-def run_convergence(config: ExperimentConfig, write: bool = True) -> RunArtifacts:
-    """Per-time law distances across levels against a finest-level reference.
-
-    Laws are exact one-time marginals, so the run is fully deterministic;
-    the trend records check that distances shrink as levels refine, which
-    is a qualitative diagnostic rather than a proof of convergence.
-    """
-    if config.experiment == "stone":
-        return _run_stone(config, write)
-    if config.experiment == "fdd":
-        return _run_fdd(config, write)
-    if config.experiment == "crt":
-        return _run_crt(config, write)
-    raise ConfigError(f"experiment: {config.experiment!r} is not a convergence run")
-
-
 def _trend_records(check_id, times, n_list, table, seed_label):
     """One strict-decrease record and one rank-trend record per time."""
     records = []
@@ -819,7 +799,13 @@ def _trend_records(check_id, times, n_list, table, seed_label):
     return records
 
 
-def _run_stone(config: ExperimentConfig, write: bool) -> RunArtifacts:
+# The convergence runs (stone, fdd, crt) compare per-time law distances
+# across levels against a finest-level reference.  Laws are exact one-time
+# marginals, so each run is fully deterministic; the trend records check that
+# distances shrink as levels refine, which is a qualitative diagnostic rather
+# than a proof of convergence.
+
+def run_stone(config: ExperimentConfig, write: bool = True) -> RunArtifacts:
     span = int(config.family.get("span_exponent", 2))
     ref_level = int(config.family.get("reference_level", 2 * max(config.n_list)))
     delta = float(config.family.get("delta", 0.25))
@@ -869,7 +855,7 @@ def _run_stone(config: ExperimentConfig, write: bool) -> RunArtifacts:
     return artifacts
 
 
-def _run_fdd(config: ExperimentConfig, write: bool) -> RunArtifacts:
+def run_fdd(config: ExperimentConfig, write: bool = True) -> RunArtifacts:
     """Two-vertex family with vanishing far mass: marginals converge while
     the lower mass bound collapses, so space convergence is flagged."""
     floor = float(config.family.get("mass_floor", 0.05))
@@ -941,7 +927,7 @@ def _lattice_excursion_samples(rng, half_steps: int) -> np.ndarray:
             return w
 
 
-def _run_crt(config: ExperimentConfig, write: bool) -> RunArtifacts:
+def run_crt(config: ExperimentConfig, write: bool = True) -> RunArtifacts:
     """Walks on nested measure discretizations of one glued excursion tree."""
     from .families import Excursion, glue_excursion
 
@@ -1000,26 +986,16 @@ def run_entrance_demo(config: ExperimentConfig, write: bool = True) -> RunArtifa
     rows = []
     worst = 0.0
     for depth in config.n_list:
-        tree, measure = binary_tree(int(depth))
-        chain = build_chain(tree, measure)
-        leaf = 2 ** depth - 1
-        solved = exact.expected_hitting(chain, leaf, tree.root)
-        closed = exact.occupation_functional(tree, measure, leaf, tree.root)
-        bound = entrance_bound(int(depth))
-        times = lockstep_ensemble(chain, leaf, (tree.root,),
+        h = _instance_hash({"check": "entrance-demo", "depth": int(depth)})
+        chain, solved, closed, exact_records = _entrance_exact(depth, h)
+        records += exact_records
+        bound = entrance_bound(depth)
+        times = lockstep_ensemble(chain, _entrance_leaf(depth), (chain.tree.root,),
                                   _spawn(config.master_seed, 7, depth),
                                   config.replicates).end_times
         mc_mean = float(times.mean())
         mc_se = float(times.std(ddof=1)) / math.sqrt(config.replicates)
         worst = max(worst, solved)
-        h = _instance_hash({"check": "entrance-demo", "depth": int(depth)})
-        rel = abs(solved - closed) / closed
-        records.append(CheckRecord(
-            "entrance/solve-vs-formula", f"depth={depth}", h, rel, 1e-9,
-            1e-9, rel <= 1e-9, "deterministic"))
-        records.append(CheckRecord(
-            "entrance/upper-bound", f"depth={depth}", h, solved, bound, 0.0,
-            solved <= bound + 1e-12, "deterministic"))
         err = abs(mc_mean - solved)
         records.append(CheckRecord(
             "entrance/mc-return", f"depth={depth}", h, err, 4.0 * mc_se,
@@ -1175,9 +1151,9 @@ def run_coalescent_demo(config: ExperimentConfig, write: bool = True) -> RunArti
 
 RUNNERS = {
     "verify": run_verify,
-    "stone": run_convergence,
-    "crt": run_convergence,
-    "fdd": run_convergence,
+    "stone": run_stone,
+    "crt": run_crt,
+    "fdd": run_fdd,
     "binary-entrance": run_entrance_demo,
     "kesten": run_kesten_demo,
     "coalescent": run_coalescent_demo,

@@ -10,7 +10,9 @@ zero mass are eliminated exactly: the walk would spend zero time there, and
 folding such a vertex into its neighborhood by the star-mesh rule
 c'_ij = c_i * c_j / sum(c) reproduces the law of the watched process on the
 remaining states (the rule is the one-vertex Schur complement of the
-conductance Laplacian, which preserves effective resistances).
+conductance Laplacian, which preserves effective resistances).  What is left
+is one symmetric sparse matrix per chain, `chain.conductance`, from which the
+rates, the generator and the sampler's jump table are all read.
 
 Sampling is exact and event by event; nothing is discretized in time.
 `lockstep_ensemble` steps a whole ensemble at once from a single generator
@@ -27,6 +29,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .tree import FLOAT_SLACK, RootedMetricTree, SpeedMeasure
 
@@ -42,53 +45,52 @@ class JumpCapExceeded(RuntimeError):
 
 
 class WalkChain:
-    """States with masses, pairwise conductances, and exact jump rates."""
+    """States with masses, one symmetric conductance matrix, and exact jump rates.
+
+    ``conductance`` is CSR over the states, symmetric, with sorted columns
+    and no diagonal; every rate, the generator and the jump table are read
+    off it.
+    """
 
     def __init__(self, tree: RootedMetricTree, states: np.ndarray, mass: np.ndarray,
-                 pair_conductance: dict):
+                 conductance: sp.csr_matrix):
         self.tree = tree
         self.states = states
         self.mass = mass
         self.index = {int(v): i for i, v in enumerate(states)}
-        self.pair_conductance = pair_conductance
-        n = len(states)
-        nbr: list[list[int]] = [[] for _ in range(n)]
-        cond: list[list[float]] = [[] for _ in range(n)]
-        for (u, v), c in sorted(pair_conductance.items()):
-            iu, iv = self.index[u], self.index[v]
-            nbr[iu].append(iv)
-            cond[iu].append(c)
-            nbr[iv].append(iu)
-            cond[iv].append(c)
-        self.nbr = [np.array(a, dtype=np.int64) for a in nbr]
-        self.cond = [np.array(a, dtype=np.float64) for a in cond]
-        self.rates = [self.cond[i] / (2.0 * self.mass[i]) for i in range(n)]
-        self.exit_rate = np.array([r.sum() for r in self.rates])
+        self.conductance = conductance
+        # rate(i -> j) = c(i, j) / (2 mass(i)), aligned with conductance.data
+        self._rates = conductance.data / (2.0 * np.repeat(mass, np.diff(conductance.indptr)))
+        # .sum() per row: numpy sums pairwise, and np.add.reduceat, which sums
+        # in sequence, rounds differently on rows of more than 8 entries
+        self.exit_rate = np.array(
+            [r.sum() for r in np.split(self._rates, conductance.indptr[1:-1])])
 
     @cached_property
     def jump_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Neighbors and cumulative jump probabilities, padded to one width.
 
-        Cumulative rows end in 1.0, so count(cum[i] <= u) < len(nbr[i]) for u < 1.
+        Cumulative rows end in 1.0 from the last neighbor on, so
+        count(cum[i] <= u) < degree(i) for u < 1.
         """
-        n = self.n_states
-        width = max(len(a) for a in self.nbr)
-        nbr = np.zeros((n, width), dtype=np.int64)
-        cum = np.ones((n, width), dtype=np.float64)
-        for i in range(n):
-            k = len(self.nbr[i])
-            nbr[i, :k] = self.nbr[i]
-            cum[i, :k] = np.cumsum(self.rates[i]) / self.exit_rate[i]
-            cum[i, k - 1] = 1.0   # guard the top against rounding
+        c = self.conductance
+        degree = np.diff(c.indptr)
+        rows = np.repeat(np.arange(self.n_states), degree)
+        slot = np.arange(c.nnz) - c.indptr[rows]
+        nbr = np.zeros((self.n_states, degree.max()), dtype=np.int64)
+        rates = np.zeros(nbr.shape)
+        nbr[rows, slot] = c.indices
+        rates[rows, slot] = self._rates
+        cum = np.cumsum(rates, axis=1) / self.exit_rate[:, None]
+        # guard the top against rounding
+        cum[np.arange(nbr.shape[1]) >= degree[:, None] - 1] = 1.0
         return nbr, cum
 
     @cached_property
     def generator(self) -> sp.csr_matrix:
         """Sparse generator Q: Q[i, j] = rate(i -> j), Q[i, i] = -exit_rate[i]."""
-        n = self.n_states
-        rows = np.repeat(np.arange(n), [len(a) for a in self.nbr])
-        cols = np.concatenate(self.nbr)
-        jumps = sp.csr_matrix((np.concatenate(self.rates), (rows, cols)), shape=(n, n))
+        c = self.conductance
+        jumps = sp.csr_matrix((self._rates, c.indices, c.indptr), shape=c.shape)
         return jumps - sp.diags(self.exit_rate, format="csr")
 
     @property
@@ -100,15 +102,16 @@ class WalkChain:
         return float(self.mass.sum())
 
     def rate(self, u: int, v: int) -> float:
-        key = (u, v) if u < v else (v, u)
-        c = self.pair_conductance.get(key)
-        if c is None:
-            return 0.0
-        return c / (2.0 * self.mass[self.index[u]])
+        """Jump rate u -> v; 0.0 between states that share no conductance."""
+        i, j = _state_index(self, u, "from"), _state_index(self, v, "to")
+        return self.conductance[i, j] / (2.0 * self.mass[i])
 
     def jump_rates(self, u: int) -> dict[int, float]:
-        iu = self.index[u]
-        return {int(self.states[j]): float(r) for j, r in zip(self.nbr[iu], self.rates[iu])}
+        """Rate to each neighbor of u, keyed by vertex id."""
+        i = _state_index(self, u, "from")
+        lo, hi = self.conductance.indptr[i:i + 2]
+        return {int(self.states[j]): float(r) for j, r in zip(
+            self.conductance.indices[lo:hi], self._rates[lo:hi])}
 
     def nearest_state(self, vertex: int) -> int:
         """State closest to a tree vertex; the lowest id among states within
@@ -159,25 +162,16 @@ def build_chain(tree: RootedMetricTree, measure: SpeedMeasure) -> WalkChain:
         for u, _ in nb:
             del adj[u][w]
         del adj[w]
-    states = np.array(sorted(adj.keys()), dtype=np.int64)
-    # connectivity of the reduced network
-    seen = {int(states[0])}
-    stack = [int(states[0])]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    if len(seen) != len(states):
+    states = np.array(sorted(adj), dtype=np.int64)
+    pos = np.zeros(tree.n, dtype=np.int64)
+    pos[states] = np.arange(len(states))
+    u, v, c = zip(*((u, v, c) for u in adj for v, c in adj[u].items()))
+    conductance = sp.csr_matrix((c, (pos[list(u)], pos[list(v)])),
+                                shape=(len(states), len(states)))
+    if connected_components(conductance, directed=False)[0] != 1:
         raise ChainError("reduced network is disconnected")
-    pair = {}
-    for u in adj:
-        for v, c in adj[u].items():
-            if u < v:
-                pair[(u, v)] = c
     mass = measure.masses[states].copy()
-    return WalkChain(tree, states, mass, pair)
+    return WalkChain(tree, states, mass, conductance)
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -189,11 +183,12 @@ def rng_from(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def _state_index(chain: WalkChain, vertex, role: str) -> int:
-    """Chain index of a vertex; ChainError naming it if it is not a state."""
+def _state_index(chain: WalkChain, vertex, role: str, error=ChainError) -> int:
+    """Chain index of a vertex; the caller's ``error`` class naming it if it
+    is not a state."""
     i = chain.index.get(int(vertex))
     if i is None:
-        raise ChainError(f"{role} vertex {vertex} is not a chain state")
+        raise error(f"{role} vertex {vertex} is not a chain state")
     return i
 
 
@@ -208,14 +203,13 @@ def generator_apply(chain: WalkChain, f) -> np.ndarray:
 def dirichlet_energy(chain: WalkChain, f, g=None) -> float:
     """Quadratic form E(f, g) = (1/2) sum over conductance pairs c * df * dg.
 
+    Each pair sits twice in the symmetric conductance matrix, hence 1/4.
     Satisfies E(f, g) = -(Lf, g) weighted by the state masses.
     """
-    fv = vertex_function(chain.tree, f)
-    gv = fv if g is None else vertex_function(chain.tree, g)
-    acc = 0.0
-    for (u, v), c in chain.pair_conductance.items():
-        acc += c * (fv[u] - fv[v]) * (gv[u] - gv[v])
-    return 0.5 * acc
+    fs = vertex_function(chain.tree, f)[chain.states]
+    gs = fs if g is None else vertex_function(chain.tree, g)[chain.states]
+    c = chain.conductance.tocoo()
+    return 0.25 * float(np.sum(c.data * (fs[c.row] - fs[c.col]) * (gs[c.row] - gs[c.col])))
 
 
 def vertex_function(tree: RootedMetricTree, f, error=ChainError) -> np.ndarray:

@@ -32,12 +32,8 @@ from conftest import path_tree, random_masses, random_tree
 
 
 def dense_generator(chain):
-    n = chain.n_states
-    q = np.zeros((n, n))
-    for i in range(n):
-        for j, r in zip(chain.nbr[i], chain.rates[i]):
-            q[i, int(j)] = r
-        q[i, i] = -chain.exit_rate[i]
+    q = chain.conductance.toarray() / (2.0 * chain.mass[:, None])
+    np.fill_diagonal(q, -chain.exit_rate)
     return q
 
 
@@ -110,6 +106,14 @@ class TestOccupation:
                 call()
         with pytest.raises(OracleError, match="vertex 3"):
             tree_energy(t, {3: 1.0})
+
+    def test_vertex_that_is_not_a_state_is_named(self):
+        # vertex 2 carries no mass, so it is folded away
+        chain = build_chain(path_tree([1.0, 1.0]), SpeedMeasure([1.0, 1.0, 0.0]))
+        with pytest.raises(OracleError, match="x vertex 2 is not a chain state"):
+            occupation_solve(chain, 2, 0)
+        with pytest.raises(OracleError, match="y vertex 2 is not a chain state"):
+            occupation_solve(chain, 0, 2)
 
     def test_sparse_solve_on_a_large_chain(self, rng):
         # 1,500-3,000 states: the size range where the solve used to switch

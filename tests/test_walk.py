@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from treeflow.tree import FLOAT_SLACK, SpeedMeasure, build_tree, restrict
 from treeflow import walk
@@ -25,6 +26,41 @@ def y_tree(a=1.0, b=1.0, c=1.0):
     return build_tree({1: 0, 2: 0, 3: 0}, {1: a, 2: b, 3: c}, root=0)
 
 
+def conductance_pairs(chain):
+    """{(u, v): c} over vertex pairs u < v that share a conductance."""
+    c = sp.triu(chain.conductance).tocoo()
+    return {(int(chain.states[i]), int(chain.states[j])): float(cij)
+            for i, j, cij in zip(c.row, c.col, c.data)}
+
+
+def pair_dict_reference(chain):
+    """exit_rate, jump_table and generator built state by state from the
+    {(u, v): c} pair dict, the way chains were built before they held one
+    conductance matrix."""
+    n = chain.n_states
+    nbr = [[] for _ in range(n)]
+    cond = [[] for _ in range(n)]
+    for (u, v), c in sorted(conductance_pairs(chain).items()):
+        iu, iv = chain.index[u], chain.index[v]
+        nbr[iu].append(iv)
+        cond[iu].append(c)
+        nbr[iv].append(iu)
+        cond[iv].append(c)
+    rates = [np.array(cond[i]) / (2.0 * chain.mass[i]) for i in range(n)]
+    exit_rate = np.array([r.sum() for r in rates])
+    table = np.zeros((n, max(map(len, nbr))), dtype=np.int64)
+    cum = np.ones(table.shape)
+    for i in range(n):
+        k = len(nbr[i])
+        table[i, :k] = nbr[i]
+        cum[i, :k] = np.cumsum(rates[i]) / exit_rate[i]
+        cum[i, k - 1] = 1.0
+    rows = np.repeat(np.arange(n), [len(a) for a in nbr])
+    jumps = sp.csr_matrix((np.concatenate(rates), (rows, np.concatenate(nbr))),
+                          shape=(n, n))
+    return exit_rate, (table, cum), jumps - sp.diags(exit_rate, format="csr")
+
+
 class TestBuildChain:
     def test_rates_match_conductance_over_mass(self, rng):
         for _ in range(20):
@@ -41,7 +77,7 @@ class TestBuildChain:
         t = random_tree(rng, 15)
         m = random_masses(rng, 15)
         chain = build_chain(t, m)
-        for (u, v), c in chain.pair_conductance.items():
+        for (u, v), c in conductance_pairs(chain).items():
             lhs = m[u] * chain.rate(u, v)
             rhs = m[v] * chain.rate(v, u)
             assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -60,14 +96,25 @@ class TestBuildChain:
         assert list(chain.states) == [1, 2, 3]
         # three unit conductances at the removed hub: each new pair gets 1/3
         for pair in [(1, 2), (1, 3), (2, 3)]:
-            assert chain.pair_conductance[pair] == pytest.approx(1.0 / 3.0)
+            assert conductance_pairs(chain)[pair] == pytest.approx(1.0 / 3.0)
 
     def test_zero_mass_pendant_is_dropped(self):
         t = build_tree({1: 0, 2: 1}, {1: 1.0, 2: 1.0}, root=0)
         m = SpeedMeasure([1.0, 1.0, 0.0])
         chain = build_chain(t, m)
         assert list(chain.states) == [0, 1]
-        assert set(chain.pair_conductance) == {(0, 1)}
+        assert set(conductance_pairs(chain)) == {(0, 1)}
+
+    def test_bad_vertex_ids_are_named(self):
+        # vertex 2 is folded away, 7 and 9 are not vertices at all
+        t = build_tree({1: 0, 2: 1}, {1: 1.0, 2: 1.0}, root=0)
+        chain = build_chain(t, SpeedMeasure([1.0, 1.0, 0.0]))
+        with pytest.raises(ChainError, match="from vertex 7 is not a chain state"):
+            chain.rate(7, 9)
+        with pytest.raises(ChainError, match="to vertex 2 is not a chain state"):
+            chain.rate(0, 2)
+        with pytest.raises(ChainError, match="from vertex 2 is not a chain state"):
+            chain.jump_rates(2)
 
     def test_elimination_preserves_harmonic_absorption(self):
         # Absorption probabilities depend only on conductances, so the
@@ -106,6 +153,35 @@ class TestBuildChain:
             build_chain(t, SpeedMeasure([1.0, 1.0]))
         with pytest.raises(ChainError):
             build_chain(t, SpeedMeasure([0.0, 1.0, 0.0, 0.0]))
+
+    def test_matches_the_pair_dict_construction_bit_for_bit(self, rng):
+        chains = []
+        for _ in range(30):
+            n = int(rng.integers(4, 25))
+            masses = random_masses(rng, n).masses.copy()
+            masses[1:][rng.random(n - 1) < 0.4] = 0.0
+            if np.count_nonzero(masses) >= 2:
+                chains.append(build_chain(random_tree(rng, n), SpeedMeasure(masses)))
+        # a zero-mass hub with 12 arms folds into rows of 11 entries, past
+        # the 8 below which numpy's pairwise sum is a plain running sum
+        arms = range(1, 13)
+        star = build_tree({v: 0 for v in arms},
+                          {v: float(rng.uniform(0.2, 1.5)) for v in arms}, root=0)
+        chains.append(build_chain(star, SpeedMeasure(
+            np.r_[0.0, rng.uniform(0.3, 2.0, size=12)])))
+        assert np.diff(chains[-1].conductance.indptr).min() == 11
+        for chain in chains:
+            c = chain.conductance
+            assert c.has_sorted_indices and not c.diagonal().any()
+            assert (c != c.T).nnz == 0
+            exit_rate, (table, cum), q = pair_dict_reference(chain)
+            assert np.array_equal(chain.exit_rate, exit_rate)
+            assert np.array_equal(chain.jump_table[0], table)
+            assert np.array_equal(chain.jump_table[1], cum)
+            got = chain.generator
+            assert np.array_equal(got.indptr, q.indptr)
+            assert np.array_equal(got.indices, q.indices)
+            assert np.array_equal(got.data, q.data)
 
 
 class TestSimulate:
