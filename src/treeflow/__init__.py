@@ -29,7 +29,6 @@ from .walk import (
     build_chain,
     dirichlet_energy,
     export_paths_csv,
-    generator_apply,
     lockstep_ensemble,
 )
 from .exact import (
@@ -45,8 +44,10 @@ from .exact import (
     heat_kernel,
     hit_bound,
     hitting_prob,
+    l2_bound,
     occupation_functional,
     occupation_solve,
+    set_prob_bound,
     speed_bound,
     transition_laws,
     tree_energy,
@@ -94,7 +95,6 @@ from .harness import (
     ExperimentConfig,
     EXPERIMENTS,
     RunArtifacts,
-    SuiteResult,
     run_experiment,
     stone_level,
 )

@@ -58,25 +58,21 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        artifacts = run_experiment(config, write=True, dump_paths=args.dump_paths)
-    except ConfigError as e:
-        print(f"treeflow: config error: {e}", file=sys.stderr)
-        return 2
+        artifacts = run_experiment(config, dump_paths=args.dump_paths)
     except Exception as e:
         traceback.print_exc()
         print(f"treeflow: {args.experiment} crashed: {type(e).__name__}: {e}",
               file=sys.stderr)
         return 3
-    suite = artifacts.suite
-    for check_id, (ok, total) in sorted(suite.counts().items()):
+    for check_id, (ok, total) in sorted(artifacts.counts().items()):
         print(f"{check_id}: {ok}/{total} passed")
-    for rec in suite.failures():
+    for rec in artifacts.failures():
         print(f"FAIL {rec.check_id} {rec.instance}: statistic "
               f"{rec.statistic:.6g} vs {rec.bound_or_target:.6g} "
               f"(seed {rec.seed})")
     print(f"report: {config.output_dir}/report.json")
-    print("PASS" if suite.all_passed else "FAIL")
-    return 0 if suite.all_passed else 1
+    print("PASS" if artifacts.all_passed else "FAIL")
+    return 0 if artifacts.all_passed else 1
 
 
 if __name__ == "__main__":

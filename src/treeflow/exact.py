@@ -267,42 +267,28 @@ class HeatKernelResult:
     uniformization_rate: float
     terms: int
 
-    def law(self, t: float) -> np.ndarray:
-        for i, s in enumerate(self.times):
-            if abs(s - t) <= FLOAT_SLACK:
-                return self.laws[i]
-        raise OracleError(f"time {t} was not requested")
 
-    def prob(self, t: float, vertex: int) -> float:
-        if vertex not in self.chain.index:
-            return 0.0
-        return float(self.law(t)[self.chain.index[vertex]])
+def l2_bound(chain: WalkChain, t: float) -> float:
+    """Nash-type ceiling 1/mass(T) + diam/t for the squared density norm
+    sum_y P_t(x, y)^2 / mass(y), from any start x; inf for t <= 0."""
+    if t <= 0:
+        return math.inf
+    return 1.0 / chain.total_mass + chain.diameter() / t
 
-    def kernel(self, t: float, vertex: int) -> float:
-        """Density p_t(x, y) = P_t(x, y) / mass(y)."""
-        if vertex not in self.chain.index:
-            raise OracleError(f"vertex {vertex} is not a chain state")
-        i = self.chain.index[vertex]
-        return float(self.law(t)[i] / self.chain.mass[i])
 
-    def l2_norm_sq(self, t: float) -> float:
-        row = self.law(t)
-        return float(np.sum(row * row / self.chain.mass))
+def set_prob_bound(chain: WalkChain, t: float, vertices: Sequence[int]) -> float:
+    """Cauchy-Schwarz bound for P_t(x, A) from the density norm ceiling.
 
-    def l2_bound(self, t: float) -> float:
-        """Nash-type ceiling 1/mass(T) + diam/t for the squared density norm."""
-        if t <= 0:
-            return math.inf
-        return 1.0 / self.chain.total_mass + self.chain.diameter() / t
-
-    def set_prob_bound(self, t: float, vertices: Sequence[int]) -> float:
-        """Cauchy-Schwarz bound for P_t(x, A) from the density norm ceiling."""
-        mass = sum(self.chain.mass[self.chain.index[v]]
-                   for v in vertices if v in self.chain.index)
-        return math.sqrt(self.l2_bound(t)) * math.sqrt(mass)
-
-    def mass_defect(self) -> float:
-        return float(np.max(np.abs(self.laws.sum(axis=1) - 1.0)))
+    A vertex folded out of the chain carries no mass and counts 0; an id
+    outside 0..n-1 raises OracleError naming it.
+    """
+    n = chain.tree.n
+    for v in vertices:
+        if not 0 <= v < n:
+            raise OracleError(f"vertex {v} is outside 0..{n - 1}")
+    mass = sum(chain.mass[chain.index[v]]
+               for v in vertices if v in chain.index)
+    return math.sqrt(l2_bound(chain, t)) * math.sqrt(mass)
 
 
 def _law_inputs(chain: WalkChain, starts, times):

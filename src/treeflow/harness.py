@@ -1,11 +1,13 @@
 """Batch experiment harness.
 
-Experiments are driven by strict JSON configs and write machine-readable
-reports: a verification suite that replays the library's closed forms and
-bounds against simulation and linear algebra on seeded instances, and
-convergence runs that compare walk laws across discretization levels of a
-common ambient space.  Everything downstream of (config, master_seed) is
-deterministic, so reports are byte-stable.
+Experiments are driven by strict JSON configs: a verification suite that
+replays the library's closed forms and bounds against simulation and linear
+algebra on seeded instances, and convergence runs that compare walk laws
+across discretization levels of a common ambient space.  Each runner is a
+pure function of its config and returns one RunArtifacts; run_experiment
+then writes every file of the run in one place, so a run that raises writes
+nothing.  Everything downstream of (config, master_seed) is deterministic,
+so the files are byte-stable.
 """
 
 from __future__ import annotations
@@ -249,46 +251,6 @@ class CheckRecord:
         object.__setattr__(self, "tolerance", float(self.tolerance))
         object.__setattr__(self, "passed", bool(self.passed))
 
-    def as_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "instance": self.instance,
-            "instance_hash": self.instance_hash,
-            "statistic": self.statistic,
-            "bound_or_target": self.bound_or_target,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "seed": self.seed,
-        }
-
-
-@dataclass
-class SuiteResult:
-    experiment: str
-    master_seed: int
-    records: list = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.records)
-
-    def failures(self) -> list:
-        return [r for r in self.records if not r.passed]
-
-    def counts(self) -> dict:
-        out: dict = {}
-        for r in self.records:
-            ok, total = out.get(r.check_id, (0, 0))
-            out[r.check_id] = (ok + int(r.passed), total + 1)
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"experiment": self.experiment, "master_seed": self.master_seed,
-             "all_passed": self.all_passed,
-             "records": [r.as_dict() for r in self.records]},
-            sort_keys=True, indent=2) + "\n"
-
 
 def _instance_hash(payload) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -304,11 +266,11 @@ def _seed_label(master_seed: int, *key) -> str:
     return f"{master_seed}/" + ".".join(str(int(k)) for k in key)
 
 
-def _random_instance(rng, n_low=5, n_high=12, scale=1.0):
+def _random_instance(rng, n_low=5, n_high=12):
     """Random rooted tree with positive masses; deterministic given rng."""
     n = int(rng.integers(n_low, n_high + 1))
     parents = {v: int(rng.integers(0, v)) for v in range(1, n)}
-    lengths = {v: float(rng.uniform(0.2, 1.5)) * scale for v in range(1, n)}
+    lengths = {v: float(rng.uniform(0.2, 1.5)) for v in range(1, n)}
     tree = build_tree(parents, lengths, root=0)
     masses = rng.uniform(0.3, 2.0, size=n)
     return tree, SpeedMeasure(masses)
@@ -472,12 +434,11 @@ def check_one_sided_bounds(master_seed: int, configurations: int = 20,
     return records
 
 
-def check_heat_kernel(master_seed: int, chains: int = 50,
-                      times=(0.3, 0.9, 1.8, 4.0)) -> list:
+def check_heat_kernel(master_seed: int, chains: int = 50) -> list:
     """Mass, symmetry and norm bounds of the eigen transition laws, and their
     gap to the uniformization series, from every start."""
     records = []
-    times = tuple(float(t) for t in times)
+    times = (0.3, 0.9, 1.8, 4.0)
     for i in range(chains):
         rng = rng_from(_spawn(master_seed, 6, i))
         tree, measure = _random_instance(rng, n_low=4, n_high=12)
@@ -497,9 +458,8 @@ def check_heat_kernel(master_seed: int, chains: int = 50,
         records.append(CheckRecord(
             "heat-kernel/symmetry", f"chain[{i}]", h, sym, 1e-10, 1e-10,
             sym <= 1e-10, seed_lbl))
-        # the ceilings of the series results depend on the chain and t only
         norms = (laws * laws / chain.mass).sum(axis=2)
-        ceiling = np.array([series[0].l2_bound(t) for t in times])
+        ceiling = np.array([exact.l2_bound(chain, t) for t in times])
         excess = float((norms - ceiling[:, None]).max())
         records.append(CheckRecord(
             "heat-kernel/l2-bound", f"chain[{i}]", h, excess, 0.0, 1e-9,
@@ -507,7 +467,7 @@ def check_heat_kernel(master_seed: int, chains: int = 50,
         k = max(1, chain.n_states // 3)
         subset = [int(s) for s in rng.choice(chain.states, size=k, replace=False)]
         prob = laws[:, :, np.isin(chain.states, subset)].sum(axis=2)
-        ceiling = np.array([series[0].set_prob_bound(t, subset) for t in times])
+        ceiling = np.array([exact.set_prob_bound(chain, t, subset) for t in times])
         set_excess = float((prob - ceiling[:, None]).max())
         records.append(CheckRecord(
             "heat-kernel/set-bound", f"chain[{i}] |A|={k}", h, set_excess,
@@ -676,37 +636,36 @@ def check_trace(master_seed: int, cases: int = 30) -> list:
 
 @dataclass
 class RunArtifacts:
-    suite: SuiteResult
+    """Everything one run produced; `_write` turns it into files.
+
+    ``records`` become report.json and each ``tables`` entry, a list of row
+    dicts, becomes ``<name>.csv``.  ``trees`` maps a name to (tree, measure,
+    provenance) for ``trees/<name>.tree`` and its ``.provenance.json``;
+    ``paths`` maps a name to a path log for ``paths/<name>.csv``.
+    """
+
+    records: list
     tables: dict = field(default_factory=dict)
+    trees: dict = field(default_factory=dict)
+    paths: dict = field(default_factory=dict)
 
     @property
     def all_passed(self) -> bool:
-        return self.suite.all_passed
+        return all(r.passed for r in self.records)
+
+    def failures(self) -> list:
+        return [r for r in self.records if not r.passed]
+
+    def counts(self) -> dict:
+        """check_id -> (passed, total)."""
+        out: dict = {}
+        for r in self.records:
+            ok, total = out.get(r.check_id, (0, 0))
+            out[r.check_id] = (ok + int(r.passed), total + 1)
+        return out
 
 
-def _ensure_dir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _write_report(config: ExperimentConfig, artifacts: RunArtifacts) -> None:
-    out = _ensure_dir(config.output_dir)
-    with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
-        fh.write(artifacts.suite.to_json())
-    for name, rows in artifacts.tables.items():
-        if not rows:
-            continue
-        with open(os.path.join(out, f"{name}.csv"), "w", encoding="utf-8",
-                  newline="") as fh:
-            writer = csv.writer(fh)
-            header = list(rows[0].keys())
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([repr(v) if isinstance(v, float) else v
-                                 for v in row.values()])
-
-
-def run_verify(config: ExperimentConfig, write: bool = True) -> RunArtifacts:
+def run_verify(config: ExperimentConfig) -> RunArtifacts:
     """Replay the oracle checks on seeded instances and report pass/fail."""
     scale = float(config.family.get("scale", 1.0))
 
@@ -726,10 +685,7 @@ def run_verify(config: ExperimentConfig, write: bool = True) -> RunArtifacts:
     records += check_discretization(ms, trees=k(10))
     records += check_metric_oracles(ms, cases=k(30))
     records += check_trace(ms, cases=k(30))
-    artifacts = RunArtifacts(SuiteResult("verify", ms, records))
-    if write:
-        _write_report(config, artifacts)
-    return artifacts
+    return RunArtifacts(records)
 
 
 # -- convergence families ----------------------------------------------------
@@ -779,6 +735,19 @@ def _law_measure(chain: WalkChain, law: np.ndarray, ids) -> FiniteAtomMeasure:
         {ids[int(s)]: float(law[j]) for j, s in enumerate(chain.states)})
 
 
+def _root_laws(chain: WalkChain, times, ids) -> list:
+    """Exact law at each time of the walk started at the root, as measures
+    with the atom of each state at vertex ``ids[state]``."""
+    rows = exact.transition_laws(chain, [chain.tree.root], times)[:, 0]
+    return [_law_measure(chain, row, ids) for row in rows]
+
+
+def _spaces_table(spaces) -> list:
+    """Rows of a gh_vague_report, with the boundary-tie flag as 0 or 1."""
+    return [{**dataclasses.asdict(row), "flagged": int(row.flagged)}
+            for row in spaces.rows]
+
+
 def _trend_records(check_id, times, n_list, table, seed_label):
     """One strict-decrease record and one rank-trend record per time."""
     records = []
@@ -805,29 +774,25 @@ def _trend_records(check_id, times, n_list, table, seed_label):
 # distances shrink as levels refine, which is a qualitative diagnostic rather
 # than a proof of convergence.
 
-def run_stone(config: ExperimentConfig, write: bool = True) -> RunArtifacts:
+def run_stone(config: ExperimentConfig) -> RunArtifacts:
     span = int(config.family.get("span_exponent", 2))
     ref_level = int(config.family.get("reference_level", 2 * max(config.n_list)))
     delta = float(config.family.get("delta", 0.25))
     times = config.times or (0.25, 1.0)
     ref_tree, ref_measure, _ = stone_level(ref_level, span)
-    ref_chain = build_chain(ref_tree, ref_measure)
-    ref_rows = exact.transition_laws(ref_chain, [ref_tree.root], times)[:, 0]
+    ref_laws = _root_laws(build_chain(ref_tree, ref_measure), times,
+                          range(ref_tree.n))
     dist = tree_metric(ref_tree)
-    ref_laws = [_law_measure(ref_chain, ref_rows[j], range(ref_tree.n))
-                for j in range(len(times))]
     rows = []
     table = {}
     approximations = []
     for n in config.n_list:
         tree, measure, _ = stone_level(n, span)
-        chain = build_chain(tree, measure)
-        law_rows = exact.transition_laws(chain, [tree.root], times)[:, 0]
         ids = _stone_reference_ids(n, ref_level, span)
+        # atoms sit on their reference-lattice twins, so shared ones merge
+        laws = _root_laws(build_chain(tree, measure), times, ids.tolist())
         for j, t in enumerate(times):
-            # atoms sit on their reference-lattice twins, so shared ones merge
-            law = _law_measure(chain, law_rows[j], ids.tolist())
-            kr = kr_distance(law, ref_laws[j], dist)
+            kr = kr_distance(laws[j], ref_laws[j], dist)
             table[(n, t)] = kr
             rows.append({"n": n, "time": float(t), "kr": kr,
                          "reference_level": ref_level})
@@ -842,20 +807,11 @@ def run_stone(config: ExperimentConfig, write: bool = True) -> RunArtifacts:
                              delta)
     records = _trend_records("stone", times, list(config.n_list), table,
                              "deterministic")
-    suite = SuiteResult("stone", config.master_seed, records)
-    artifacts = RunArtifacts(suite, {
-        "distances": rows,
-        "spaces": [
-            {"label": r.label, "radius": r.radius, "hausdorff": r.hausdorff,
-             "prohorov": r.prohorov, "kr": r.kr, "m_delta": r.m_delta,
-             "flagged": int(r.flagged)} for r in spaces.rows],
-    })
-    if write:
-        _write_report(config, artifacts)
-    return artifacts
+    return RunArtifacts(records, {"distances": rows,
+                                  "spaces": _spaces_table(spaces)})
 
 
-def run_fdd(config: ExperimentConfig, write: bool = True) -> RunArtifacts:
+def run_fdd(config: ExperimentConfig) -> RunArtifacts:
     """Two-vertex family with vanishing far mass: marginals converge while
     the lower mass bound collapses, so space convergence is flagged."""
     floor = float(config.family.get("mass_floor", 0.05))
@@ -910,11 +866,7 @@ def run_fdd(config: ExperimentConfig, write: bool = True) -> RunArtifacts:
         "fdd/tightness-fails", f"n={finest}",
         _instance_hash({"check": "fdd-final", "n": finest}),
         1.0 / finest, floor, 0.0, 1.0 / finest < floor, "deterministic"))
-    suite = SuiteResult("fdd", config.master_seed, records)
-    artifacts = RunArtifacts(suite, {"distances": rows})
-    if write:
-        _write_report(config, artifacts)
-    return artifacts
+    return RunArtifacts(records, {"distances": rows})
 
 
 def _lattice_excursion_samples(rng, half_steps: int) -> np.ndarray:
@@ -927,7 +879,7 @@ def _lattice_excursion_samples(rng, half_steps: int) -> np.ndarray:
             return w
 
 
-def run_crt(config: ExperimentConfig, write: bool = True) -> RunArtifacts:
+def run_crt(config: ExperimentConfig) -> RunArtifacts:
     """Walks on nested measure discretizations of one glued excursion tree."""
     from .families import Excursion, glue_excursion
 
@@ -943,10 +895,8 @@ def run_crt(config: ExperimentConfig, write: bool = True) -> RunArtifacts:
     dist = tree_metric(ambient)
     diam = ambient.diameter()
     delta = float(delta_key) if delta_key is not None else 0.1 * diam
-    ref_chain = build_chain(ambient, ambient_measure)
-    ref_rows = exact.transition_laws(ref_chain, [ambient.root], times)[:, 0]
-    ref_laws = [_law_measure(ref_chain, ref_rows[j], list(range(ambient.n)))
-                for j in range(len(times))]
+    ids = list(range(ambient.n))
+    ref_laws = _root_laws(build_chain(ambient, ambient_measure), times, ids)
     rows = []
     table = {}
     approximations = []
@@ -954,10 +904,9 @@ def run_crt(config: ExperimentConfig, write: bool = True) -> RunArtifacts:
         eps = diam / n
         disc = discretize(ambient, ambient_measure, eps)
         chain = build_chain(ambient, disc.pushforward)
-        law_rows = exact.transition_laws(chain, [ambient.root], times)[:, 0]
+        laws = _root_laws(chain, times, ids)
         for j, t in enumerate(times):
-            law = _law_measure(chain, law_rows[j], list(range(ambient.n)))
-            kr = kr_distance(law, ref_laws[j], dist)
+            kr = kr_distance(laws[j], ref_laws[j], dist)
             table[(n, t)] = kr
             rows.append({"n": n, "time": float(t), "kr": kr,
                          "eps": eps, "states": chain.n_states})
@@ -967,20 +916,11 @@ def run_crt(config: ExperimentConfig, write: bool = True) -> RunArtifacts:
                              delta)
     records = _trend_records("crt", times, list(config.n_list), table,
                              _seed_label(config.master_seed, 11))
-    suite = SuiteResult("crt", config.master_seed, records)
-    artifacts = RunArtifacts(suite, {
-        "distances": rows,
-        "spaces": [
-            {"label": r.label, "radius": r.radius, "hausdorff": r.hausdorff,
-             "prohorov": r.prohorov, "kr": r.kr, "m_delta": r.m_delta,
-             "flagged": int(r.flagged)} for r in spaces.rows],
-    })
-    if write:
-        _write_report(config, artifacts)
-    return artifacts
+    return RunArtifacts(records, {"distances": rows,
+                                  "spaces": _spaces_table(spaces)})
 
 
-def run_entrance_demo(config: ExperimentConfig, write: bool = True) -> RunArtifacts:
+def run_entrance_demo(config: ExperimentConfig) -> RunArtifacts:
     """Exact and simulated root return times on deepening binary trees."""
     records = []
     rows = []
@@ -1010,30 +950,18 @@ def run_entrance_demo(config: ExperimentConfig, write: bool = True) -> RunArtifa
         "entrance/depth-uniform", "all depths",
         _instance_hash({"check": "entrance-uniform"}),
         worst, ceiling, 0.0, worst <= ceiling, "deterministic"))
-    suite = SuiteResult("binary-entrance", config.master_seed, records)
-    artifacts = RunArtifacts(suite, {"entrance": rows})
-    if write:
-        _write_report(config, artifacts)
-    return artifacts
+    return RunArtifacts(records, {"entrance": rows})
 
 
-def _save_generated(config: ExperimentConfig, name: str, tree, measure,
-                    provenance: dict) -> None:
-    out = _ensure_dir(os.path.join(config.output_dir, "trees"))
-    save_tree(os.path.join(out, f"{name}.tree"), tree, measure)
-    with open(os.path.join(out, f"{name}.provenance.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(json.dumps(provenance, sort_keys=True, indent=2) + "\n")
-
-
-def run_kesten_demo(config: ExperimentConfig, write: bool = True,
+def run_kesten_demo(config: ExperimentConfig,
                     dump_paths: bool = False) -> RunArtifacts:
     """Glued reflected-walk trees across sizes, with short walk summaries."""
     horizon = float(config.family.get("horizon", 1.0))
     times = config.times or (0.1, 0.3)
     records = []
     rows = []
-    paths_out = []
+    trees = {}
+    paths = {}
     for n in config.n_list:
         seed = _spawn(config.master_seed, 12, n)
         sample = kesten_excursion(int(n), seed, horizon=horizon)
@@ -1062,29 +990,19 @@ def run_kesten_demo(config: ExperimentConfig, write: bool = True,
                      "mean_end_height": mean_end_height,
                      "replicates": config.replicates})
         if dump_paths:
-            paths_out.append((f"kesten-n{n}", ens.paths))
-        if write:
-            _save_generated(config, f"kesten-n{n}", tree, measure, {
-                "kind": "kesten", "params": {"n": int(n), "horizon": horizon},
-                "seed": _seed_label(config.master_seed, 12, n)})
-    suite = SuiteResult("kesten", config.master_seed, records)
-    artifacts = RunArtifacts(suite, {"kesten": rows})
-    if write:
-        _write_report(config, artifacts)
-        if dump_paths:
-            pdir = _ensure_dir(os.path.join(config.output_dir, "paths"))
-            for name, paths in paths_out:
-                with open(os.path.join(pdir, f"{name}.csv"), "w",
-                          encoding="utf-8", newline="") as fh:
-                    export_paths_csv(paths, fh)
-    return artifacts
+            paths[f"kesten-n{n}"] = ens.paths
+        trees[f"kesten-n{n}"] = (tree, measure, {
+            "kind": "kesten", "params": {"n": int(n), "horizon": horizon},
+            "seed": _seed_label(config.master_seed, 12, n)})
+    return RunArtifacts(records, {"kesten": rows}, trees, paths)
 
 
-def run_coalescent_demo(config: ExperimentConfig, write: bool = True) -> RunArtifacts:
+def run_coalescent_demo(config: ExperimentConfig) -> RunArtifacts:
     """Exchangeable genealogies: metric laws and a walk cross-check per size."""
     kind = config.family.get("kind", "kingman")
     records = []
     rows = []
+    trees = {}
     for n in config.n_list:
         if kind == "kingman":
             spec = CoalescentSpec.kingman(int(n))
@@ -1138,15 +1056,10 @@ def run_coalescent_demo(config: ExperimentConfig, write: bool = True) -> RunArti
                      "atomic_mass": float(atom.masses.sum()),
                      "density_mass": float(dens.masses.sum()),
                      "hit_exact": solved, "hit_mc": mc_mean, "hit_se": mc_se})
-        if write:
-            _save_generated(config, f"coalescent-{kind}-n{n}", tree, atom, {
-                "kind": f"coalescent-{kind}", "params": {"n_leaves": int(n)},
-                "seed": _seed_label(config.master_seed, 13, n)})
-    suite = SuiteResult("coalescent", config.master_seed, records)
-    artifacts = RunArtifacts(suite, {"coalescent": rows})
-    if write:
-        _write_report(config, artifacts)
-    return artifacts
+        trees[f"coalescent-{kind}-n{n}"] = (tree, atom, {
+            "kind": f"coalescent-{kind}", "params": {"n_leaves": int(n)},
+            "seed": _seed_label(config.master_seed, 13, n)})
+    return RunArtifacts(records, {"coalescent": rows}, trees)
 
 
 RUNNERS = {
@@ -1160,9 +1073,54 @@ RUNNERS = {
 }
 
 
-def run_experiment(config: ExperimentConfig, write: bool = True,
+def _write(config: ExperimentConfig, artifacts: RunArtifacts) -> None:
+    """Write every file of a run under ``config.output_dir``; CSV cells
+    that are floats are written as their repr."""
+
+    def target(*parts) -> str:
+        path = os.path.join(config.output_dir, *parts)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        return path
+
+    def dump_json(path: str, payload: dict) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+    dump_json(target("report.json"), {
+        "experiment": config.experiment, "master_seed": config.master_seed,
+        "all_passed": artifacts.all_passed,
+        "records": [dataclasses.asdict(r) for r in artifacts.records]})
+    for name, rows in artifacts.tables.items():
+        if rows:
+            with open(target(f"{name}.csv"), "w", encoding="utf-8",
+                      newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(list(rows[0]))
+                writer.writerows([repr(v) if isinstance(v, float) else v
+                                  for v in row.values()] for row in rows)
+    for name, (tree, measure, provenance) in artifacts.trees.items():
+        save_tree(target("trees", f"{name}.tree"), tree, measure)
+        dump_json(target("trees", f"{name}.provenance.json"), provenance)
+    for name, paths in artifacts.paths.items():
+        with open(target("paths", f"{name}.csv"), "w", encoding="utf-8",
+                  newline="") as fh:
+            export_paths_csv(paths, fh)
+
+
+def run_experiment(config: ExperimentConfig,
                    dump_paths: bool = False) -> RunArtifacts:
+    """Run ``config``'s experiment, then write its files.
+
+    Under ``config.output_dir`` the run writes report.json (the check
+    records), one ``<table>.csv`` per nonempty table, ``trees/`` (kesten and
+    coalescent) and, for kesten with ``dump_paths``, ``paths/``.  The files
+    are written only after the runner returns, so a run that raises writes
+    none of them.
+    """
     runner = RUNNERS[config.experiment]
     if runner is run_kesten_demo:
-        return runner(config, write=write, dump_paths=dump_paths)
-    return runner(config, write=write)
+        artifacts = runner(config, dump_paths=dump_paths)
+    else:
+        artifacts = runner(config)
+    _write(config, artifacts)
+    return artifacts

@@ -18,7 +18,6 @@ Both have tiny brute-force twins used only as test oracles.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import itertools
 import math
@@ -306,13 +305,13 @@ def prohorov(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist,
     return float(max(candidate(a), 0.0))
 
 
-def prohorov_bruteforce(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist,
-                        iters: int = 80) -> float:
+def prohorov_bruteforce(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure,
+                        dist) -> float:
     """Literal definition over all subsets; oracle for small supports only.
 
     Each side has at most 10 atoms.  A probe of one eps tries the 2^k - 1
     nonempty subsets of each side (k its atom count), and the bisection
-    makes at most ``iters + 1`` probes.
+    makes at most 81 probes.
     """
     if len(mu) > 10 or len(nu) > 10:
         raise MeasureError("brute-force check is limited to 10 atoms per side")
@@ -341,7 +340,7 @@ def prohorov_bruteforce(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist,
     if ok(0.0):
         return 0.0
     lo = 0.0
-    for _ in range(iters):
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
         if ok(mid):
             hi = mid
@@ -527,20 +526,6 @@ class ConvergenceRow:
 @dataclass
 class ConvergenceReport:
     rows: list = field(default_factory=list)
-
-    COLUMNS = ["label", "radius", "hausdorff", "prohorov", "kr", "m_delta", "flagged"]
-
-    def to_csv(self, fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(self.COLUMNS)
-        for r in self.rows:
-            writer.writerow([r.label, repr(r.radius), repr(r.hausdorff),
-                             repr(r.prohorov), repr(r.kr), repr(r.m_delta),
-                             int(r.flagged)])
-
-    def column(self, name: str, label: Optional[str] = None) -> list:
-        rows = self.rows if label is None else [r for r in self.rows if r.label == label]
-        return [getattr(r, name) for r in rows]
 
 
 def _ball_measure(tree: RootedMetricTree, measure: SpeedMeasure, radius: float) -> FiniteAtomMeasure:

@@ -290,9 +290,9 @@ class RootedMetricTree:
         # the full slice indexes every vertex without gathering
         return self._distance_array(x, slice(None))
 
-    def distance_matrix(self, limit: int = 2000) -> np.ndarray:
-        if self.n > limit:
-            raise TreeError(f"distance matrix capped at {limit} vertices, tree has {self.n}")
+    def distance_matrix(self) -> np.ndarray:
+        if self.n > 2000:
+            raise TreeError(f"distance matrix capped at 2000 vertices, tree has {self.n}")
         everyone = np.arange(self.n)
         return self.distance_block(everyone, everyone)
 
@@ -515,11 +515,11 @@ class FourPointReport:
 
 
 def check_four_point(obj, exhaustive_limit: int = 30, samples: int = 100_000,
-                     seed: int = 0, tol: float = GEOM_TOL) -> FourPointReport:
+                     seed: int = 0) -> FourPointReport:
     """Check the tree metric quadruple inequality on a tree or a matrix.
 
     For every quadruple the largest of the three pairings
-    d12+d34, d13+d24, d14+d23 must be attained (up to ``tol``) at least
+    d12+d34, d13+d24, d14+d23 must be attained (up to GEOM_TOL) at least
     twice.  Exhaustive up to ``exhaustive_limit`` points, seeded sampling of
     ``samples`` quadruples beyond that, all drawn up front.  The first
     violating quadruple (in lexicographic or draw order) is reported with its
@@ -547,7 +547,7 @@ def check_four_point(obj, exhaustive_limit: int = 30, samples: int = 100_000,
         sums = np.sort(np.stack((pair(i, j) + pair(k, l),
                                  pair(i, k) + pair(j, l),
                                  pair(i, l) + pair(j, k)), axis=1), axis=1)
-        bad = np.flatnonzero(sums[:, 2] - sums[:, 1] > tol)
+        bad = np.flatnonzero(sums[:, 2] - sums[:, 1] > GEOM_TOL)
         if len(bad):
             b = int(bad[0])
             return FourPointReport(False, checked + b + 1, exhaustive,
@@ -672,19 +672,15 @@ def spanned_subtree(tree: RootedMetricTree, subset: Iterable[int]):
     return sub, s_arr
 
 
-def epsilon_net(tree: RootedMetricTree, eps: float,
-                radius: Optional[float] = None) -> np.ndarray:
-    """Greedy farthest-point eps-net of the closed root ball, rooted.
+def epsilon_net(tree: RootedMetricTree, eps: float) -> np.ndarray:
+    """Greedy farthest-point eps-net of the tree, rooted.
 
     Starts from the root and repeatedly adds the farthest uncovered vertex
-    (lowest id on ties) until every candidate is within eps of the net.
+    (lowest id on ties) until every vertex is within eps of the net.
     """
     if eps <= 0:
         raise TreeError("eps must be positive")
-    if radius is None:
-        cand = np.arange(tree.n)
-    else:
-        cand = np.nonzero(tree.height <= radius + FLOAT_SLACK)[0]
+    cand = np.arange(tree.n)
     dist = tree.distance(tree.root, cand)
     net = [tree.root]
     while True:
@@ -743,8 +739,8 @@ class Discretization:
     max_displacement: float
 
 
-def discretize(tree: RootedMetricTree, measure: SpeedMeasure, eps: float,
-               radius: Optional[float] = None) -> Discretization:
+def discretize(tree: RootedMetricTree, measure: SpeedMeasure,
+               eps: float) -> Discretization:
     """Branch-closed eps-net whose root-ward projection moves mass at most eps.
 
     Density of a net bounds the distance to the nearest net point but not to
@@ -757,13 +753,9 @@ def discretize(tree: RootedMetricTree, measure: SpeedMeasure, eps: float,
     h = tree.height
     reach = eps + FLOAT_SLACK
     in_s = np.zeros(tree.n, dtype=bool)
-    in_s[branch_closure(tree, epsilon_net(tree, eps, radius))] = True
-    if radius is None:
-        scope = np.ones(tree.n, dtype=bool)
-    else:
-        scope = h <= radius + FLOAT_SLACK
+    in_s[branch_closure(tree, epsilon_net(tree, eps))] = True
     for _ in range(tree.n + 1):
-        low = np.flatnonzero(scope & (h - h[_root_ward(tree, in_s)] > reach))
+        low = np.flatnonzero(h - h[_root_ward(tree, in_s)] > reach)
         if not len(low):
             break
         # climb every violator to its farthest ancestor within eps

@@ -192,14 +192,6 @@ def _state_index(chain: WalkChain, vertex, role: str, error=ChainError) -> int:
     return i
 
 
-def generator_apply(chain: WalkChain, f) -> np.ndarray:
-    """Apply the chain generator to a vertex function; one value per state.
-
-    (Lf)(u) = (1 / (2 mass(u))) * sum_v c(u,v) (f(v) - f(u))
-    """
-    return chain.generator @ vertex_function(chain.tree, f)[chain.states]
-
-
 def dirichlet_energy(chain: WalkChain, f, g=None) -> float:
     """Quadratic form E(f, g) = (1/2) sum over conductance pairs c * df * dg.
 

@@ -165,8 +165,8 @@ def test_a11_convergence_trends(tmp_path):
     with criterion("A11 convergence trends"):
         cfg = ExperimentConfig.default("stone").replace(
             output_dir=str(tmp_path / "stone"))
-        art = run_experiment(cfg, write=True)
-        _assert_records(art.suite.records)
+        art = run_experiment(cfg)
+        _assert_records(art.records)
         kr = {(r["n"], r["time"]): r["kr"] for r in art.tables["distances"]}
         for t in cfg.times:
             seq = [kr[(n, t)] for n in cfg.n_list]
@@ -174,8 +174,8 @@ def test_a11_convergence_trends(tmp_path):
 
         cfg = ExperimentConfig.default("fdd").replace(
             output_dir=str(tmp_path / "fdd"))
-        art = run_experiment(cfg, write=True)
-        _assert_records(art.suite.records)
+        art = run_experiment(cfg)
+        _assert_records(art.records)
         flags = {}
         for row in art.tables["distances"]:
             n, t = row["n"], row["time"]

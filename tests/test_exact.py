@@ -282,8 +282,9 @@ class TestHeatKernel:
         chain = build_chain(t, SpeedMeasure([1.0, 1.0]))
         times = [0.0, 0.3, 1.0, 4.0]
         hk = heat_kernel(chain, 0, times)
-        for s in times:
-            assert hk.prob(s, 0) == pytest.approx((1 + math.exp(-s)) / 2, abs=1e-12)
+        for i, s in enumerate(times):
+            assert hk.laws[i][chain.index[0]] == pytest.approx(
+                (1 + math.exp(-s)) / 2, abs=1e-12)
 
     def test_matches_matrix_exponential(self, rng):
         for _ in range(8):
@@ -295,7 +296,7 @@ class TestHeatKernel:
             for s in (0.2, 1.0, 3.7):
                 hk = heat_kernel(chain, int(chain.states[0]), [s])
                 want = scipy.linalg.expm(q * s)[0]
-                assert np.allclose(hk.law(s), want, atol=1e-9)
+                assert np.allclose(hk.laws[0], want, atol=1e-9)
 
     def test_chapman_kolmogorov(self, rng):
         t = random_tree(rng, 6)
@@ -311,21 +312,19 @@ class TestHeatKernel:
         t = random_tree(rng, 7)
         m = random_masses(rng, 7)
         chain = build_chain(t, m)
-        s = 0.9
-        for x in range(7):
-            hk = heat_kernel(chain, x, [s])
-            for y in range(7):
-                other = heat_kernel(chain, y, [s])
-                assert hk.kernel(s, y) == pytest.approx(other.kernel(s, x), rel=1e-8)
+        # density p_t(x, y) = P_t(x, y) / mass(y)
+        density = np.array([heat_kernel(chain, x, [0.9]).laws[0] / chain.mass
+                            for x in chain.states])
+        assert np.allclose(density, density.T, rtol=1e-8, atol=0.0)
 
     def test_mass_and_long_time_limit(self, rng):
         t = random_tree(rng, 8)
         m = random_masses(rng, 8)
         chain = build_chain(t, m)
         hk = heat_kernel(chain, 0, [500.0])
-        assert hk.mass_defect() <= 1e-10
+        assert np.abs(hk.laws.sum(axis=1) - 1.0).max() <= 1e-10
         stat = chain.mass / chain.total_mass
-        assert np.allclose(hk.law(500.0), stat, atol=1e-8)
+        assert np.allclose(hk.laws[0], stat, atol=1e-8)
 
     def test_large_rate_no_underflow(self):
         # exit rates around 1e4 and t = 30 push the series past 3e5 terms
@@ -334,8 +333,8 @@ class TestHeatKernel:
         chain = build_chain(t, m)
         hk = heat_kernel(chain, 0, [30.0])
         stat = chain.mass / chain.total_mass
-        assert np.allclose(hk.law(30.0), stat, atol=1e-6)
-        assert hk.mass_defect() <= 1e-10
+        assert np.allclose(hk.laws[0], stat, atol=1e-6)
+        assert np.abs(hk.laws.sum(axis=1) - 1.0).max() <= 1e-10
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
     def test_non_finite_time_rejected(self, bad):
@@ -360,8 +359,8 @@ class TestHeatKernel:
             m = random_masses(rng, n)
             chain = build_chain(t, m)
             hk = heat_kernel(chain, int(chain.states[0]), [0.05, 0.3, 1.0, 5.0, 50.0])
-            for s in hk.times:
-                assert hk.l2_norm_sq(s) <= hk.l2_bound(s) + 1e-9
+            for s, row in zip(hk.times, hk.laws):
+                assert np.sum(row * row / chain.mass) <= exact.l2_bound(chain, s) + 1e-9
 
     def test_set_prob_bound_dominates(self, rng):
         t = random_tree(rng, 8)
@@ -369,9 +368,21 @@ class TestHeatKernel:
         chain = build_chain(t, m)
         hk = heat_kernel(chain, 2, [0.5, 2.0])
         subset = [0, 3, 5]
-        for s in hk.times:
-            p = sum(hk.prob(s, v) for v in subset)
-            assert p <= hk.set_prob_bound(s, subset) + 1e-12
+        for s, row in zip(hk.times, hk.laws):
+            p = sum(row[chain.index[v]] for v in subset)
+            assert p <= exact.set_prob_bound(chain, s, subset) + 1e-12
+
+    def test_set_prob_bound_rejects_an_id_outside_the_tree(self):
+        chain = build_chain(path_tree([1.0, 1.0]), SpeedMeasure([1.0, 1.0, 1.0]))
+        with pytest.raises(OracleError, match="vertex 99 is outside 0..2"):
+            exact.set_prob_bound(chain, 1.0, [0, 99])
+
+    def test_set_prob_bound_counts_a_folded_vertex_as_zero(self):
+        chain = build_chain(path_tree([1.0, 1.0]), SpeedMeasure([1.0, 0.0, 1.0]))
+        assert 1 not in chain.index
+        assert exact.set_prob_bound(chain, 1.0, [1]) == 0.0
+        assert (exact.set_prob_bound(chain, 1.0, [0, 1])
+                == exact.set_prob_bound(chain, 1.0, [0]))
 
     def test_bad_inputs(self):
         t = path_tree([1.0])
@@ -382,9 +393,6 @@ class TestHeatKernel:
             heat_kernel(chain, 0, [])
         with pytest.raises(OracleError):
             heat_kernel(chain, 0, [-1.0])
-        hk = heat_kernel(chain, 0, [1.0])
-        with pytest.raises(OracleError):
-            hk.law(2.0)
 
 
 def series_laws(chain, times):

@@ -5,20 +5,22 @@ tolerances are the same 3-4 sigma bands the harness itself uses.
 """
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from treeflow import exact
+from treeflow import exact, harness
 from treeflow.harness import (
     EXPERIMENTS,
     RUNNERS,
     CheckRecord,
     ConfigError,
     ExperimentConfig,
-    SuiteResult,
+    RunArtifacts,
     _stone_reference_ids,
+    _write,
     check_atom_law,
     check_discretization,
     check_entrance,
@@ -127,7 +129,7 @@ class TestRecords:
         rec = CheckRecord("x/y", "i", "0" * 16, np.float64(1.5),
                           np.float64(2.0), np.float64(0.1), np.True_, "s")
         assert type(rec.statistic) is float and type(rec.passed) is bool
-        json.dumps(rec.as_dict())
+        json.dumps(dataclasses.asdict(rec))
 
     def test_suite_counts_and_failures(self):
         recs = [
@@ -135,18 +137,22 @@ class TestRecords:
             CheckRecord("a", "1", "h", 3.0, 2.0, 0.1, False, "s"),
             CheckRecord("b", "0", "h", 0.0, 1.0, 0.1, True, "s"),
         ]
-        suite = SuiteResult("verify", 7, recs)
-        assert not suite.all_passed
-        assert suite.counts() == {"a": (1, 2), "b": (1, 1)}
-        assert [r.instance for r in suite.failures()] == ["1"]
+        art = RunArtifacts(recs)
+        assert not art.all_passed
+        assert art.counts() == {"a": (1, 2), "b": (1, 1)}
+        assert [r.instance for r in art.failures()] == ["1"]
 
-    def test_suite_json_is_stable(self):
-        recs = [CheckRecord("a", "0", "h", 1.0, 2.0, 0.1, True, "s")]
-        suite = SuiteResult("verify", 7, recs)
-        text = suite.to_json()
-        assert text == suite.to_json()
-        assert text.endswith("\n")
-        parsed = json.loads(text)
+    def test_suite_json_is_stable(self, tmp_path):
+        art = RunArtifacts([CheckRecord("a", "0", "h", 1.0, 2.0, 0.1, True, "s")])
+        texts = []
+        for tag in ("a", "b"):
+            cfg = tiny("verify", master_seed=7, output_dir=str(tmp_path / tag))
+            _write(cfg, art)
+            texts.append((tmp_path / tag / "report.json").read_text())
+        assert texts[0] == texts[1]
+        assert texts[0].endswith("\n")
+        parsed = json.loads(texts[0])
+        assert parsed["experiment"] == "verify" and parsed["master_seed"] == 7
         assert parsed["all_passed"] is True
         assert parsed["records"][0]["check_id"] == "a"
 
@@ -269,12 +275,12 @@ class TestRunners:
     def test_verify_reduced_writes_report(self, tmp_path):
         cfg = tiny("verify", family={"scale": 0.06}, replicates=800,
                    output_dir=str(tmp_path / "v"))
-        art = run_experiment(cfg, write=True)
+        art = run_experiment(cfg)
         assert art.all_passed
         report = json.loads((tmp_path / "v" / "report.json").read_text())
         assert report["all_passed"] is True
         assert report["experiment"] == "verify"
-        assert len(report["records"]) == len(art.suite.records)
+        assert len(report["records"]) == len(art.records)
 
     def test_verify_scale_validation(self, tmp_path):
         # rejected where the config is built, before any run
@@ -286,13 +292,15 @@ class TestRunners:
         cfg = tiny("stone", family={"span_exponent": 2, "reference_level": 8},
                    n_list=(2, 4), times=(0.3, 1.0),
                    output_dir=str(tmp_path / "s"))
-        art = run_experiment(cfg, write=True)
+        art = run_experiment(cfg)
         assert art.all_passed
         kr = {(r["n"], r["time"]): r["kr"] for r in art.tables["distances"]}
         assert kr[(4, 0.3)] < kr[(2, 0.3)]
         assert kr[(4, 1.0)] < kr[(2, 1.0)]
         assert (tmp_path / "s" / "distances.csv").exists()
-        assert (tmp_path / "s" / "spaces.csv").exists()
+        with open(tmp_path / "s" / "spaces.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == ["label", "radius", "hausdorff",
+                                             "prohorov", "kr", "m_delta", "flagged"]
         assert all(not row["flagged"] for row in art.tables["spaces"])
 
     def test_stone_reference_must_divide(self, tmp_path):
@@ -315,7 +323,7 @@ class TestRunners:
 
     def test_fdd_small(self, tmp_path):
         cfg = tiny("fdd", n_list=(2, 8, 32), output_dir=str(tmp_path / "f"))
-        art = run_experiment(cfg, write=True)
+        art = run_experiment(cfg)
         assert art.all_passed
         flags = {r["n"]: r["flagged"] for r in art.tables["distances"]
                  if r["time"] == 0.25}
@@ -324,14 +332,14 @@ class TestRunners:
     def test_fdd_floor_never_reached_fails(self, tmp_path):
         # sizes too small for the mass floor: the run must say so, not pass
         cfg = tiny("fdd", n_list=(2, 4), output_dir=str(tmp_path / "f"))
-        art = run_experiment(cfg, write=False)
+        art = run_experiment(cfg)
         assert not art.all_passed
-        assert [r.check_id for r in art.suite.failures()] == ["fdd/tightness-fails"]
+        assert [r.check_id for r in art.failures()] == ["fdd/tightness-fails"]
 
     def test_crt_small(self, tmp_path):
         cfg = tiny("crt", family={"knots": 128}, n_list=(4, 8),
                    output_dir=str(tmp_path / "c"))
-        art = run_experiment(cfg, write=True)
+        art = run_experiment(cfg)
         assert art.all_passed
         assert (tmp_path / "c" / "distances.csv").exists()
         for row in art.tables["distances"]:
@@ -340,14 +348,14 @@ class TestRunners:
     def test_crt_with_512_knots_finishes(self, tmp_path):
         # the heat-kernel series used to stall below 1 - 1e-12 at level n=8
         cfg = tiny("crt", family={"knots": 512}, output_dir=str(tmp_path / "c"))
-        art = run_experiment(cfg, write=False)
+        art = run_experiment(cfg)
         assert art.all_passed
         assert [r["n"] for r in art.tables["distances"]] == [4, 4, 8, 8, 16, 16]
 
     def test_entrance_demo_small(self, tmp_path):
         cfg = tiny("binary-entrance", n_list=(2, 3, 4), replicates=600,
                    output_dir=str(tmp_path / "e"))
-        art = run_experiment(cfg, write=True)
+        art = run_experiment(cfg)
         assert art.all_passed
         assert (tmp_path / "e" / "entrance.csv").exists()
         for row in art.tables["entrance"]:
@@ -356,7 +364,7 @@ class TestRunners:
     def test_entrance_csv_cells_are_plain_floats(self, tmp_path):
         cfg = tiny("binary-entrance", n_list=(2, 3), replicates=50,
                    output_dir=str(tmp_path / "e"))
-        run_experiment(cfg, write=True)
+        run_experiment(cfg)
         with open(tmp_path / "e" / "entrance.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
@@ -367,7 +375,7 @@ class TestRunners:
     def test_kesten_small_with_paths(self, tmp_path):
         cfg = tiny("kesten", n_list=(8,), replicates=40, times=(0.1, 0.3),
                    output_dir=str(tmp_path / "k"))
-        art = run_experiment(cfg, write=True, dump_paths=True)
+        art = run_experiment(cfg, dump_paths=True)
         assert art.all_passed
         assert (tmp_path / "k" / "trees" / "kesten-n8.tree").exists()
         prov = json.loads(
@@ -383,7 +391,7 @@ class TestRunners:
         ):
             cfg = tiny("coalescent", family=family, n_list=n, replicates=1200,
                        output_dir=str(tmp_path / family["kind"]))
-            art = run_experiment(cfg, write=True)
+            art = run_experiment(cfg)
             assert art.all_passed, family
 
     def test_coalescent_rejects_bad_input(self, tmp_path):
@@ -398,16 +406,33 @@ class TestRunners:
         for tag in ("a", "b"):
             cfg = tiny("binary-entrance", n_list=(2, 3), replicates=300,
                        output_dir=str(tmp_path / tag))
-            run_experiment(cfg, write=True)
+            run_experiment(cfg)
             outs.append((tmp_path / tag / "report.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_a_run_that_raises_writes_nothing(self, tmp_path, monkeypatch):
+        calls = []
+
+        def second_call_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("ensemble failed")
+            return lockstep_ensemble(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "lockstep_ensemble", second_call_fails)
+        cfg = tiny("coalescent", n_list=(4, 6), replicates=200,
+                   output_dir=str(tmp_path / "out"))
+        with pytest.raises(RuntimeError, match="ensemble failed"):
+            run_experiment(cfg)
+        assert len(calls) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_seed_changes_mc_statistics(self, tmp_path):
         rows = []
         for seed in (SEED, SEED + 1):
             cfg = tiny("coalescent", n_list=(4,), replicates=900,
                        master_seed=seed, output_dir=str(tmp_path / str(seed)))
-            art = run_experiment(cfg, write=False)
+            art = run_experiment(cfg)
             rows.append(art.tables["coalescent"][0]["hit_mc"])
         assert rows[0] != rows[1]
 
@@ -517,7 +542,7 @@ class TestCLI:
         assert not (tmp_path / "out").exists()
 
     def test_crash_exits_three(self, tmp_path, capsys, monkeypatch):
-        def boom(config, write=True, dump_paths=False):
+        def boom(config, dump_paths=False):
             raise RuntimeError("solver exploded")
 
         monkeypatch.setattr("treeflow.cli.run_experiment", boom)

@@ -15,8 +15,8 @@ from treeflow.walk import (
     build_chain,
     dirichlet_energy,
     export_paths_csv,
-    generator_apply,
     lockstep_ensemble,
+    vertex_function,
 )
 from conftest import path_tree, random_masses, random_tree
 
@@ -487,7 +487,7 @@ class TestGeneratorAndEnergy:
             chain = build_chain(t, m)
             f = rng.normal(size=9)
             g = rng.normal(size=9)
-            lf = generator_apply(chain, f)
+            lf = chain.generator @ f[chain.states]
             pairing = -sum(chain.mass[i] * lf[i] * g[int(chain.states[i])]
                            for i in range(chain.n_states))
             assert dirichlet_energy(chain, f, g) == pytest.approx(pairing, abs=1e-9)
@@ -500,7 +500,7 @@ class TestGeneratorAndEnergy:
     def test_constant_functions_are_harmonic(self, rng):
         t = random_tree(rng, 8)
         chain = build_chain(t, random_masses(rng, 8))
-        lf = generator_apply(chain, np.ones(8) * 4.2)
+        lf = chain.generator @ np.full(chain.n_states, 4.2)
         assert np.allclose(lf, 0.0, atol=1e-12)
         assert dirichlet_energy(chain, np.ones(8)) == pytest.approx(0.0, abs=1e-15)
 
@@ -511,12 +511,11 @@ class TestGeneratorAndEnergy:
         e2 = dirichlet_energy(chain, [0.0, 1.0, 0.0, 0.0])
         assert e1 == pytest.approx(e2)
         with pytest.raises(ChainError):
-            generator_apply(chain, [1.0, 2.0])
+            vertex_function(chain.tree, [1.0, 2.0])
 
     def test_scalar_is_a_constant_function(self):
         chain = build_chain(y_tree(), SpeedMeasure([1.0, 2.0, 1.0, 3.0]))
-        assert np.array_equal(generator_apply(chain, 2.5),
-                              generator_apply(chain, np.full(4, 2.5)))
+        assert np.array_equal(vertex_function(chain.tree, 2.5), np.full(4, 2.5))
         assert dirichlet_energy(chain, 2.5) == 0.0
 
     def test_wrong_length_names_the_expected_length(self):
@@ -528,4 +527,4 @@ class TestGeneratorAndEnergy:
     def test_mapping_key_outside_the_tree(self, bad):
         chain = build_chain(y_tree(), SpeedMeasure([1.0, 1.0, 1.0, 1.0]))
         with pytest.raises(ChainError, match=f"vertex {bad}, outside 0..3"):
-            generator_apply(chain, {bad: 1.0})
+            vertex_function(chain.tree, {bad: 1.0})
