@@ -1,12 +1,9 @@
 """Golden sha256 digests of every file the shipped experiments write.
 
-Each shipped config runs at the shipped seed into a temporary directory
-(kesten with its sampled paths dumped) and every file it writes is digested.
-The digests must equal those in ``golden.json``, file for file, so any
-change to an output's bytes, or to the set of files, fails here.
-
-binary-entrance runs with ``n_list`` 2..8 only: its shipped depths 9..12
-take most of its run time.
+Each shipped config runs at its shipped sizes and seed into a temporary
+directory (kesten with its sampled paths dumped) and every file it writes is
+digested.  The digests must equal those in ``golden.json``, file for file,
+so any change to an output's bytes, or to the set of files, fails here.
 
 eigh and HiGHS bits depend on the numpy and scipy builds, so when the
 Python, numpy or scipy version differs from the one that produced the
@@ -34,7 +31,6 @@ from treeflow.harness import EXPERIMENTS, ExperimentConfig, run_experiment  # no
 
 GOLDEN = Path(__file__).resolve().with_name("golden.json")
 SEED = 20240817
-NARROWED = {"binary-entrance": {"n_list": tuple(range(2, 9))}}
 
 
 def versions() -> dict:
@@ -46,7 +42,7 @@ def digests(experiment: str, out: Path) -> dict:
     """Run one shipped experiment into ``out``; sha256 of each file it wrote,
     keyed by its path below ``out``."""
     config = ExperimentConfig.default(experiment).replace(
-        master_seed=SEED, output_dir=str(out), **NARROWED.get(experiment, {}))
+        master_seed=SEED, output_dir=str(out))
     run_experiment(config, dump_paths=experiment == "kesten")
     return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.rglob("*")) if p.is_file()}
