@@ -248,30 +248,41 @@ def lockstep_ensemble(chain: WalkChain, start: int, stop_states, seed,
 
     A walk stops when it enters a vertex of ``stop_states`` (at time 0 if it
     starts in one), or at ``horizon`` in the state it holds there, whichever
-    comes first.  Each sweep moves every running walk one jump, drawing
+    comes first.  Each sweep moves every running walk one jump: it draws
     ``exponential(size=alive)`` and then ``random(size=alive)`` from one
-    generator in ascending replicate order.  The occupation is the time held
-    at ``occupy`` before the end (zero without ``occupy``).  With
-    ``keep_paths`` the result also logs ``(r, 0.0, start)`` and every jump
-    taken before the end, at most one entry per replicate and sweep; the
-    flag changes no draw.
+    generator in ascending replicate order, then picks every next state with
+    width - 1 compares of the uniforms against one contiguous column each of
+    cumulative jump probabilities (width is that of ``chain.jump_table``).
+    The occupation is the time held at ``occupy`` before the end (zero
+    without ``occupy``).  With ``keep_paths`` the result also logs
+    ``(r, 0.0, start)`` and every jump taken before the end, at most one
+    entry per replicate and sweep; the flag changes no draw.
 
     Raises ChainError before sampling if ``start``, a stop state or ``occupy``
-    is not a chain state, or if no stop state and no horizon are given, and
-    JumpCapExceeded after SWEEP_CAP sweeps.
+    is not a chain state, if there is no stop state and the horizon is None
+    or infinite, if the horizon is NaN or negative, or if ``replicates`` is
+    not an int (a bool is not) of at least 1; and JumpCapExceeded after
+    SWEEP_CAP sweeps.
     """
     s0 = _state_index(chain, start, "start")
     is_stop = np.zeros(chain.n_states, dtype=bool)
     is_stop[[_state_index(chain, v, "stop") for v in stop_states]] = True
     occ_state = -1 if occupy is None else _state_index(chain, occupy, "occupy")
-    if horizon is None and not is_stop.any():
-        raise ChainError("lockstep ensemble needs a stop state or a horizon")
-    if horizon is not None and horizon < 0:
-        raise ChainError("horizon must be nonnegative")
+    if not is_stop.any() and (horizon is None or horizon == np.inf):
+        raise ChainError(f"lockstep ensemble needs a stop state or a horizon, "
+                         f"got horizon {horizon} and no stop state")
+    if horizon is not None and not horizon >= 0:
+        raise ChainError(f"horizon must be nonnegative, got {horizon}")
+    if isinstance(replicates, bool) or not isinstance(replicates, int):
+        raise ChainError(f"replicates must be an int, got {replicates!r}")
     if replicates < 1:
-        raise ChainError("replicates must be at least 1")
+        raise ChainError(f"replicates must be at least 1, got {replicates}")
     rng = rng_from(seed)
     nbr, cum = chain.jump_table
+    width = nbr.shape[1]
+    nbr = nbr.ravel()
+    # one contiguous column per comparison; the last is 1.0 > u, never counted
+    cols = cum.T[:-1].copy()
     exit_rate = chain.exit_rate
     end_t = np.zeros(replicates)
     end_state = np.full(replicates, s0, dtype=np.int64)
@@ -291,7 +302,10 @@ def lockstep_ensemble(chain: WalkChain, start: int, stop_states, seed,
         dt = rng.exponential(size=cur.size) / exit_rate[cur]
         t_new = t + dt
         u = rng.random(cur.size)
-        nxt = nbr[cur, (u[:, None] >= cum[cur]).sum(axis=1)]
+        k = cur * width
+        for col in cols:
+            k += u >= col[cur]
+        nxt = nbr[k]
         if occ_state >= 0:
             at = cur == occ_state
             held = dt if horizon is None else np.where(t_new > horizon, horizon - t, dt)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from treeflow.walk import (
     lockstep_ensemble,
     vertex_function,
 )
+from treeflow.families import binary_tree
 from conftest import path_tree, random_masses, random_tree
 
 
@@ -366,6 +368,27 @@ class TestBadVertices:
         with pytest.raises(ChainError, match="replicates"):
             lockstep_ensemble(chain, 0, (2,), 1, 0)
 
+    def test_lockstep_rejects_nan_horizon(self, monkeypatch):
+        chain = self.chain_with_eliminated_middle()
+        monkeypatch.setattr(walk, "rng_from", no_sampling)
+        for stop_states in ((), (2,)):
+            with pytest.raises(ChainError, match="horizon must be nonnegative, got nan"):
+                lockstep_ensemble(chain, 0, stop_states, 1, 8, horizon=math.nan)
+
+    def test_lockstep_rejects_infinite_horizon_without_stop_states(self, monkeypatch):
+        chain = self.chain_with_eliminated_middle()
+        monkeypatch.setattr(walk, "rng_from", no_sampling)
+        with pytest.raises(ChainError, match="got horizon inf and no stop state"):
+            lockstep_ensemble(chain, 0, (), 1, 8, horizon=math.inf)
+
+    @pytest.mark.parametrize("replicates", [2.5, True, "8", np.int64(8)])
+    def test_lockstep_rejects_replicates_that_are_not_an_int(self, monkeypatch,
+                                                             replicates):
+        chain = self.chain_with_eliminated_middle()
+        monkeypatch.setattr(walk, "rng_from", no_sampling)
+        with pytest.raises(ChainError, match=re.escape(f"got {replicates!r}")):
+            lockstep_ensemble(chain, 0, (2,), 1, replicates)
+
 
 def masked_reference(chain, start, stop_states, seed, reps, horizon=None, occupy=None):
     """Lockstep ensemble without compaction: walks that ended stay masked.
@@ -412,14 +435,28 @@ def per_replicate(paths):
 
 class TestLockstep:
     def test_matches_masked_reference(self, rng):
-        # compaction must not change the draws any replicate sees
+        # neither compaction nor the column-wise jump choice may change the
+        # draws or the jumps any replicate sees
+        cases = []
         for trial in range(6):
             t = random_tree(rng, 9)
             chain = build_chain(t, random_masses(rng, 9))
-            horizon = (None, 1.5)[trial % 2]
-            args = (chain, 0, (8,), 40 + trial, 300)
-            ens = lockstep_ensemble(*args, horizon=horizon, occupy=3, keep_paths=True)
-            want = masked_reference(*args, horizon=horizon, occupy=3)
+            cases.append(((chain, 0, (8,), 40 + trial, 300), (None, 1.5)[trial % 2], 3))
+        # jump tables of width 1 (no comparison column), 3 and 39: a hub of
+        # zero mass folds a 40-leaf star into the complete graph K40
+        two = build_chain(build_tree({1: 0}, {1: 1.0}, root=0), SpeedMeasure([1.0, 1.0]))
+        binary = build_chain(*binary_tree(6))
+        leaves = range(1, 41)
+        star = build_chain(build_tree(dict.fromkeys(leaves, 0), dict.fromkeys(leaves, 1.0),
+                                      root=0), SpeedMeasure([0.0] + [1.0] * 40))
+        for chain, width in ((two, 1), (binary, 3), (star, 39)):
+            assert chain.jump_table[0].shape[1] == width
+        cases += [((two, 0, (), 7, 300), 4.0, 1),
+                  ((binary, 126, (0,), 8, 200), 0.5, 62),
+                  ((star, 1, (40,), 9, 300), 20.0, 2)]
+        for args, horizon, occupy in cases:
+            ens = lockstep_ensemble(*args, horizon=horizon, occupy=occupy, keep_paths=True)
+            want = masked_reference(*args, horizon=horizon, occupy=occupy)
             got = (ens.end_times, ens.endpoints, ens.stopped, ens.occupation)
             for g, w in zip(got + ens.paths, want[:4] + want[4]):
                 assert np.array_equal(g, w)
