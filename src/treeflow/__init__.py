@@ -53,10 +53,8 @@ from .exact import (
     tree_energy,
 )
 from .measures import (
-    ConvergenceReport,
     ConvergenceRow,
     FiniteAtomMeasure,
-    fdd_compare,
     gh_vague_report,
     hausdorff_distance,
     kr_distance,

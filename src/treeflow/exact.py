@@ -50,10 +50,8 @@ def occupation_functional(tree: RootedMetricTree, measure: SpeedMeasure,
     """Closed form for the expected integral of f along the walk until it hits y."""
     fv = vertex_function(tree, 1.0 if f is None else f, OracleError)
     zs = np.flatnonzero((measure.masses != 0.0) & (fv != 0.0))
-    # green_kernel for every z at once: the median is the deepest pairwise meet
-    meets = (tree.lca(x, y), tree.lca(y, zs), tree.lca(x, zs))
-    median = np.where(tree.depth[meets[1]] > tree.depth[meets[0]], meets[1], meets[0])
-    median = np.where(tree.depth[meets[2]] > tree.depth[median], meets[2], median)
+    # green_kernel for every z at once
+    median = tree.branch_point(x, y, zs)
     terms = fv[zs] * (2.0 * tree.distance(y, median)) * measure.masses[zs]
     total = 0.0
     for term in terms:       # summed in vertex order, like the scalar formula

@@ -36,7 +36,6 @@ from .families import (
 )
 from .measures import (
     FiniteAtomMeasure,
-    fdd_compare,
     gh_vague_report,
     hausdorff_distance,
     kr_bruteforce,
@@ -286,8 +285,9 @@ def _tree_payload(tree: RootedMetricTree, measure: SpeedMeasure) -> dict:
 
 
 def _segment_interior(tree: RootedMetricTree, a: int, b: int) -> list:
-    return [v for v in range(tree.n)
-            if v not in (a, b) and tree.on_segment(v, a, b)]
+    everyone = np.arange(tree.n)
+    inside = tree.on_segment(everyone, a, b) & (everyone != a) & (everyone != b)
+    return np.flatnonzero(inside).tolist()
 
 
 def _diameter_pair(tree: RootedMetricTree):
@@ -729,30 +729,38 @@ def _stone_reference_ids(n: int, ref: int, span_exponent: int):
     return ids
 
 
-def _law_measure(chain: WalkChain, law: np.ndarray, ids) -> FiniteAtomMeasure:
-    """Chain law with the atom of each state at vertex ``ids[state]``."""
-    return FiniteAtomMeasure.from_dict(
-        {ids[int(s)]: float(law[j]) for j, s in enumerate(chain.states)})
-
-
 def _root_laws(chain: WalkChain, times, ids) -> list:
     """Exact law at each time of the walk started at the root, as measures
     with the atom of each state at vertex ``ids[state]``."""
     rows = exact.transition_laws(chain, [chain.tree.root], times)[:, 0]
-    return [_law_measure(chain, row, ids) for row in rows]
+    return [FiniteAtomMeasure.from_dict(
+        {ids[int(s)]: float(law[j]) for j, s in enumerate(chain.states)})
+        for law in rows]
 
 
 def _spaces_table(spaces) -> list:
     """Rows of a gh_vague_report, with the boundary-tie flag as 0 or 1."""
     return [{**dataclasses.asdict(row), "flagged": int(row.flagged)}
-            for row in spaces.rows]
+            for row in spaces]
 
 
-def _trend_records(check_id, times, n_list, table, seed_label):
-    """One strict-decrease record and one rank-trend record per time."""
+def _law_distances(check_id, times, levels, ref_laws, dist, seed_label):
+    """KR gap of each level's law to the reference law at every time.
+
+    ``levels`` yields (n, laws, columns): the level's law at each time and
+    the cells its distances.csv rows carry after n, time and kr.  Returns
+    those rows and, per time, one strict-decrease and one rank-trend record
+    of the gaps across the levels.
+    """
+    rows, n_list, gaps = [], [], []
+    for n, laws, columns in levels:
+        kr = [kr_distance(law, ref, dist) for law, ref in zip(laws, ref_laws)]
+        rows += [{"n": n, "time": float(t), "kr": v, **columns}
+                 for t, v in zip(times, kr)]
+        n_list.append(n)
+        gaps.append(kr)
     records = []
-    for t in times:
-        vals = [table[(n, t)] for n in n_list]
+    for t, vals in zip(times, map(list, zip(*gaps))):
         decreasing = all(b < a for a, b in zip(vals, vals[1:]))
         rho = float(sp_stats.spearmanr(n_list, vals).statistic) if len(vals) > 2 else (
             -1.0 if decreasing else 1.0)
@@ -765,14 +773,15 @@ def _trend_records(check_id, times, n_list, table, seed_label):
             f"{check_id}/trend", f"t={t} spearman",
             _instance_hash({"check": check_id + "-trend", "t": repr(t)}),
             rho, 0.0, 0.0, rho < 0.0, seed_label))
-    return records
+    return rows, records
 
 
-# The convergence runs (stone, fdd, crt) compare per-time law distances
-# across levels against a finest-level reference.  Laws are exact one-time
-# marginals, so each run is fully deterministic; the trend records check that
-# distances shrink as levels refine, which is a qualitative diagnostic rather
-# than a proof of convergence.
+# The convergence runs (stone, fdd, crt) share one pipeline, _law_distances:
+# each builds its levels' exact one-time laws at the root and a reference
+# law per time, and _law_distances measures every (level, time) gap and the
+# trend records.  Laws are exact, so each run is fully deterministic; the
+# trend records check that distances shrink as levels refine, which is a
+# qualitative diagnostic rather than a proof of convergence.
 
 def run_stone(config: ExperimentConfig) -> RunArtifacts:
     span = int(config.family.get("span_exponent", 2))
@@ -782,31 +791,25 @@ def run_stone(config: ExperimentConfig) -> RunArtifacts:
     ref_tree, ref_measure, _ = stone_level(ref_level, span)
     ref_laws = _root_laws(build_chain(ref_tree, ref_measure), times,
                           range(ref_tree.n))
-    dist = tree_metric(ref_tree)
-    rows = []
-    table = {}
+    levels = []
     approximations = []
     for n in config.n_list:
         tree, measure, _ = stone_level(n, span)
         ids = _stone_reference_ids(n, ref_level, span)
         # atoms sit on their reference-lattice twins, so shared ones merge
         laws = _root_laws(build_chain(tree, measure), times, ids.tolist())
-        for j, t in enumerate(times):
-            kr = kr_distance(laws[j], ref_laws[j], dist)
-            table[(n, t)] = kr
-            rows.append({"n": n, "time": float(t), "kr": kr,
-                         "reference_level": ref_level})
+        levels.append((n, laws, {"reference_level": ref_level}))
         pushed = np.zeros(ref_tree.n)
         np.add.at(pushed, ids, measure.masses)
         approximations.append((f"n={n}", SpeedMeasure(pushed)))
+    rows, records = _law_distances("stone", times, levels, ref_laws,
+                                   tree_metric(ref_tree), "deterministic")
     # radii off the lattice: no vertex height is 2^span * 0.3 or 0.6, so the
     # boundary-tie flag stays quiet.  The lattice is a path, so Prohorov
     # runs on its sweep.
     radii = [0.3 * 2.0 ** span, 0.6 * 2.0 ** span]
     spaces = gh_vague_report(ref_tree, ref_measure, approximations, radii,
                              delta)
-    records = _trend_records("stone", times, list(config.n_list), table,
-                             "deterministic")
     return RunArtifacts(records, {"distances": rows,
                                   "spaces": _spaces_table(spaces)})
 
@@ -819,47 +822,41 @@ def run_fdd(config: ExperimentConfig) -> RunArtifacts:
     times = config.times or (0.25, 1.0)
     tree = build_tree({1: 0}, {1: 1.0}, root=0)
     dist = tree_metric(tree)
-    limit_law = FiniteAtomMeasure((0,), (1.0,))
-    rows = []
+
+    def pair_dist(p, q):
+        return max(dist(a, b) for a, b in zip(p, q))
+
+    levels = []
     records = []
-    table = {}
     for n in config.n_list:
         measure = SpeedMeasure([1.0, 1.0 / n])
         chain = build_chain(tree, measure)
-        law_rows = exact.transition_laws(chain, [0], times)[:, 0]
-        laws = [_law_measure(chain, law_rows[j], {0: 0, 1: 1})
-                for j in range(len(times))]
-        joint = None
+        laws = _root_laws(chain, times, range(tree.n))
+        joint_kr = ""
         if with_joint and len(times) >= 2:
             # Markov property gives the exact two-time joint law
             gap = exact.transition_laws(chain, chain.states,
                                         (times[1] - times[0],))[0]
-            pairs = {}
-            for a_idx, a in enumerate(chain.states):
-                for b_idx, b in enumerate(chain.states):
-                    w = float(law_rows[0][a_idx] * gap[a_idx][b_idx])
-                    if w > 0:
-                        pairs[(int(a), int(b))] = w
-            joint = FiniteAtomMeasure.from_dict(pairs)
-        joint_limit = FiniteAtomMeasure(((0, 0),), (1.0,))
-        report = fdd_compare(times, laws,
-                             [limit_law] * len(times), dist,
-                             joint_a=joint, joint_b=joint_limit if joint else None)
+            # both vertices carry mass, so vertex ids are state indices
+            joint = FiniteAtomMeasure.from_dict(
+                {(a, b): w * gap[a, b]
+                 for a, w in zip(laws[0].points, laws[0].weights)
+                 for b in range(tree.n)})
+            joint_kr = kr_distance(joint, FiniteAtomMeasure(((0, 0),), (1.0,)),
+                                   pair_dist)
         m_delta = lower_mass(tree, measure, 0.5).value
         flagged = m_delta < floor
-        for j, t in enumerate(times):
-            table[(n, t)] = report.kr_values[j]
-            rows.append({"n": n, "time": float(t), "kr": report.kr_values[j],
-                         "joint_kr": (report.joint_kr
-                                      if report.joint_kr is not None else ""),
-                         "m_delta": m_delta, "flagged": int(flagged)})
+        levels.append((n, laws, {"joint_kr": joint_kr, "m_delta": m_delta,
+                                 "flagged": int(flagged)}))
         records.append(CheckRecord(
             "fdd/mass-floor", f"n={n}",
             _instance_hash({"check": "fdd", "n": n}),
             m_delta, floor, 0.0,
             flagged == (n > 1.0 / floor), "deterministic"))
-    records += _trend_records("fdd", times, list(config.n_list), table,
-                              "deterministic")
+    rows, trend = _law_distances("fdd", times, levels,
+                                 [FiniteAtomMeasure((0,), (1.0,))] * len(times),
+                                 dist, "deterministic")
+    records += trend
     # the flag must actually fire at the finest level
     finest = max(config.n_list)
     records.append(CheckRecord(
@@ -895,27 +892,22 @@ def run_crt(config: ExperimentConfig) -> RunArtifacts:
     dist = tree_metric(ambient)
     diam = ambient.diameter()
     delta = float(delta_key) if delta_key is not None else 0.1 * diam
-    ids = list(range(ambient.n))
+    ids = range(ambient.n)
     ref_laws = _root_laws(build_chain(ambient, ambient_measure), times, ids)
-    rows = []
-    table = {}
+    levels = []
     approximations = []
     for n in config.n_list:
         eps = diam / n
         disc = discretize(ambient, ambient_measure, eps)
         chain = build_chain(ambient, disc.pushforward)
-        laws = _root_laws(chain, times, ids)
-        for j, t in enumerate(times):
-            kr = kr_distance(laws[j], ref_laws[j], dist)
-            table[(n, t)] = kr
-            rows.append({"n": n, "time": float(t), "kr": kr,
-                         "eps": eps, "states": chain.n_states})
+        levels.append((n, _root_laws(chain, times, ids),
+                       {"eps": eps, "states": chain.n_states}))
         approximations.append((f"n={n}", disc.pushforward))
+    rows, records = _law_distances("crt", times, levels, ref_laws, dist,
+                                   _seed_label(config.master_seed, 11))
     radii = [diam / 4.0, diam / 2.0]
     spaces = gh_vague_report(ambient, ambient_measure, approximations, radii,
                              delta)
-    records = _trend_records("crt", times, list(config.n_list), table,
-                             _seed_label(config.master_seed, 11))
     return RunArtifacts(records, {"distances": rows,
                                   "spaces": _spaces_table(spaces)})
 
@@ -1023,15 +1015,14 @@ def run_coalescent_demo(config: ExperimentConfig) -> RunArtifacts:
         records.append(CheckRecord(
             "coalescent/leaf-depth", f"n={n}", h, spread, 1e-9, 1e-9,
             spread <= 1e-9, _seed_label(config.master_seed, 13, n)))
+        # in every leaf triple the largest distance is attained twice: the
+        # rows below leaf i hold the triples (i, j, k) with i < j, k
+        d = tree.distance_block(ct.leaves, ct.leaves)
         worst = 0.0
-        leaves = list(ct.leaves)
-        for ii in range(len(leaves)):
-            for jj in range(ii + 1, len(leaves)):
-                for kk in range(jj + 1, len(leaves)):
-                    d = sorted([tree.distance(leaves[ii], leaves[jj]),
-                                tree.distance(leaves[ii], leaves[kk]),
-                                tree.distance(leaves[jj], leaves[kk])])
-                    worst = max(worst, d[2] - d[1])
+        for i in range(len(d) - 2):
+            trio = np.sort(np.stack(np.broadcast_arrays(
+                d[i, i + 1:, None], d[i, None, i + 1:], d[i + 1:, i + 1:])), axis=0)
+            worst = max(worst, float((trio[2] - trio[1]).max()))
         records.append(CheckRecord(
             "coalescent/ultrametric", f"n={n}", h, worst, 1e-9, 1e-9,
             worst <= 1e-9, _seed_label(config.master_seed, 13, n)))

@@ -22,7 +22,7 @@ import heapq
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -478,41 +478,6 @@ def _block_hausdorff(dmat: np.ndarray) -> float:
 
 
 @dataclass
-class FddReport:
-    """Per-time marginal gaps plus an optional joint-law gap."""
-
-    times: list
-    kr_values: list
-    joint_kr: Optional[float] = None
-
-    @property
-    def max_kr(self) -> float:
-        return max(self.kr_values) if self.kr_values else 0.0
-
-
-def fdd_compare(times, laws_a, laws_b, dist, joint_a=None, joint_b=None,
-                joint_limit: int = 400) -> FddReport:
-    """Compare two collections of one-time laws on a shared time grid.
-
-    Marginals are compared one by one; when both sides supply joint laws on
-    tuples and the combined support is small enough, the tuples are compared
-    under the max-coordinate metric as well.
-    """
-    times = list(times)
-    if len(laws_a) != len(times) or len(laws_b) != len(times):
-        raise MeasureError("time grid and law lists disagree in length")
-    kr_values = [kr_distance(a, b, dist) for a, b in zip(laws_a, laws_b)]
-    joint = None
-    if joint_a is not None and joint_b is not None:
-        support = set(joint_a.points) | set(joint_b.points)
-        if len(support) <= joint_limit:
-            def tup_dist(p, q):
-                return max(dist(x, y) for x, y in zip(p, q))
-            joint = kr_distance(joint_a, joint_b, tup_dist)
-    return FddReport(times=times, kr_values=kr_values, joint_kr=joint)
-
-
-@dataclass
 class ConvergenceRow:
     label: str
     radius: float
@@ -521,11 +486,6 @@ class ConvergenceRow:
     kr: float
     m_delta: float
     flagged: bool
-
-
-@dataclass
-class ConvergenceReport:
-    rows: list = field(default_factory=list)
 
 
 def _ball_measure(tree: RootedMetricTree, measure: SpeedMeasure, radius: float) -> FiniteAtomMeasure:
@@ -537,8 +497,9 @@ def _ball_measure(tree: RootedMetricTree, measure: SpeedMeasure, radius: float) 
 
 def gh_vague_report(tree: RootedMetricTree, limit_measure: SpeedMeasure,
                     approximations: Sequence, radii: Sequence[float],
-                    delta: float) -> ConvergenceReport:
-    """Rows of (support Hausdorff, Prohorov, dual gap, mass floor) per radius.
+                    delta: float) -> list[ConvergenceRow]:
+    """ConvergenceRows of (support Hausdorff, Prohorov, dual gap, mass floor),
+    one per radius and approximation.
 
     ``approximations`` is a list of (label, SpeedMeasure) pairs on the same
     ambient tree as the limit.  A radius is flagged when the limit measure
@@ -546,7 +507,7 @@ def gh_vague_report(tree: RootedMetricTree, limit_measure: SpeedMeasure,
     tolerance; restriction is unstable against such ties.
     """
     dist = tree_metric(tree)
-    report = ConvergenceReport()
+    rows = []
     for radius in radii:
         target = _ball_measure(tree, limit_measure, radius)
         tgt_idx = _vertex_ids(target.points)
@@ -555,7 +516,7 @@ def gh_vague_report(tree: RootedMetricTree, limit_measure: SpeedMeasure,
         for label, approx in approximations:
             got = _ball_measure(tree, approx, radius)
             dmat = tree.distance_block(_vertex_ids(got.points), tgt_idx)
-            report.rows.append(ConvergenceRow(
+            rows.append(ConvergenceRow(
                 label=str(label),
                 radius=float(radius),
                 hausdorff=_block_hausdorff(dmat),
@@ -564,7 +525,7 @@ def gh_vague_report(tree: RootedMetricTree, limit_measure: SpeedMeasure,
                 m_delta=lower_mass(tree, approx, delta, radius=radius).value,
                 flagged=flagged,
             ))
-    return report
+    return rows
 
 
 def polynomial_lower_bound(tree: RootedMetricTree, measure: SpeedMeasure,

@@ -65,6 +65,9 @@ class _EulerTable:
     with ``& mask``.  Rows are stored flat: for a range of length s from lo
     to hi, the two windows sit at ``lo_offset[s] + lo`` and
     ``hi_offset[s] + hi``.  O(n log n) to build, O(1) per query.
+
+    ``first[v]`` and ``last[v]`` are the first and last tour positions of v,
+    so v's subtree is the vertices whose first visit lies in that window.
     """
 
     def __init__(self, tree: "RootedMetricTree"):
@@ -72,15 +75,17 @@ class _EulerTable:
         kids = [c.tolist() for c in tree._children]
         tour = [tree.root]
         first = [0] * n
+        last = [0] * n
         stack = [(tree.root, iter(kids[tree.root]))]
         while stack:
             c = next(stack[-1][1], None)
             if c is None:
                 stack.pop()
                 if stack:
+                    last[stack[-1][0]] = len(tour)
                     tour.append(stack[-1][0])
             else:
-                first[c] = len(tour)
+                first[c] = last[c] = len(tour)
                 tour.append(c)
                 stack.append((c, iter(kids[c])))
         euler = np.array(tour, dtype=np.int64)
@@ -102,6 +107,7 @@ class _EulerTable:
         self.lo_offset = level * m
         self.hi_offset = level * m + 1 - np.left_shift(1, level)
         self.first = np.array(first, dtype=np.int64)
+        self.last = np.array(last, dtype=np.int64)
         # plain lists serve the scalar queries without numpy scalar overhead
         self.first_list = first
         self.heights = tree.height.tolist()
@@ -261,17 +267,22 @@ class RootedMetricTree:
             yield start, self._distance_array(xs[start:start + rows, None],
                                               ys[None, :])
 
-    def branch_point(self, x: int, y: int, z: int) -> int:
-        """Median vertex of x, y, z: the unique point on all three segments."""
+    def branch_point(self, x, y, z):
+        """Median vertex of x, y, z: the unique point on all three segments.
+
+        Three vertex ids give an int; arrays broadcast like :meth:`lca` and
+        give an array of medians.
+        """
         a, b, c = self.lca(x, y), self.lca(y, z), self.lca(x, z)
         # two of the three pairwise meets coincide; the deepest one is the median
-        best = a
-        for cand in (b, c):
-            if self.depth[cand] > self.depth[best]:
-                best = cand
-        return best
+        depth = self.depth
+        best = np.where(depth[b] > depth[a], b, a)
+        best = np.where(depth[c] > depth[best], c, best)
+        return best if best.ndim else int(best)
 
-    def on_segment(self, u: int, x: int, y: int, tol: float = GEOM_TOL) -> bool:
+    def on_segment(self, u, x, y, tol: float = GEOM_TOL):
+        """Whether u lies on the segment [x, y], within ``tol``; an array of
+        ids u gives an array of flags."""
         return abs(self.distance(x, u) + self.distance(u, y) - self.distance(x, y)) <= tol
 
     def ancestors(self, v: int) -> list[int]:
@@ -475,31 +486,30 @@ def epsilon_degree(tree: RootedMetricTree, x: int, eps: float) -> int:
 
     A vertex v outside B(x, eps) counts when some neighbor u of v lies in
     B(x, eps) and v lies on the segment from u to some vertex outside
-    B(x, 2*eps).
+    B(x, 2*eps).  The ball is connected, so v has at most one such u.  When
+    every edge is longer than GEOM_TOL, v lies on such a segment exactly
+    when the far side of the edge uv, the part of the tree that removing the
+    edge leaves with v, holds a vertex outside B(x, 2*eps).  That far side
+    is v's subtree or the complement of u's, an Euler-tour window, so one
+    search among the sorted first visits of those vertices answers each
+    edge: O(n log n) in all.
     """
     if eps <= 0:
         raise TreeError("eps must be positive")
     d = tree.distances_from(x)
     in_ball = d < eps - FLOAT_SLACK
-    outside2 = np.nonzero(d >= 2 * eps - FLOAT_SLACK)[0]
-    count = 0
-    for v in range(tree.n):
-        if in_ball[v]:
-            continue
-        hit = False
-        for u in tree.neighbors(v):
-            if not in_ball[u]:
-                continue
-            duv = tree.distance(int(u), v)
-            for w in outside2:
-                if abs(duv + tree.distance(v, int(w)) - tree.distance(int(u), int(w))) <= GEOM_TOL:
-                    hit = True
-                    break
-            if hit:
-                break
-        if hit:
-            count += 1
-    return count
+    tables = tree._tables()
+    far = np.sort(tables.first[d >= 2 * eps - FLOAT_SLACK])
+    kids = np.flatnonzero(np.arange(tree.n) != tree.root)
+    kid_in, parent_in = in_ball[kids], in_ball[tree.parent[kids]]
+    # far vertices in each kid's subtree
+    below = (np.searchsorted(far, tables.last[kids], side="right")
+             - np.searchsorted(far, tables.first[kids], side="left"))
+    # v is the kid, its far side its subtree; or v is the parent, its far
+    # side the rest of the tree
+    out = parent_in & ~kid_in & (below > 0)
+    into = kid_in & ~parent_in & (below < len(far))
+    return int(np.count_nonzero(out) + np.count_nonzero(into))
 
 
 # -- four point condition ---------------------------------------------------

@@ -352,6 +352,20 @@ class TestRunners:
         assert art.all_passed
         assert [r["n"] for r in art.tables["distances"]] == [4, 4, 8, 8, 16, 16]
 
+    @pytest.mark.parametrize("experiment, overrides, header", [
+        ("stone", {"family": {"reference_level": 4}, "n_list": (2, 4)},
+         ["n", "time", "kr", "reference_level"]),
+        ("crt", {"family": {"knots": 32}, "n_list": (2, 4)},
+         ["n", "time", "kr", "eps", "states"]),
+        ("fdd", {"n_list": (2, 32)},
+         ["n", "time", "kr", "joint_kr", "m_delta", "flagged"]),
+    ])
+    def test_distances_csv_header(self, tmp_path, experiment, overrides, header):
+        # the golden digests skip on other numpy and scipy builds; this does not
+        run_experiment(tiny(experiment, output_dir=str(tmp_path), **overrides))
+        with open(tmp_path / "distances.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == header
+
     def test_entrance_demo_small(self, tmp_path):
         cfg = tiny("binary-entrance", n_list=(2, 3, 4), replicates=600,
                    output_dir=str(tmp_path / "e"))

@@ -10,7 +10,6 @@ from treeflow import measures
 from treeflow.measures import (
     FiniteAtomMeasure,
     empirical_law,
-    fdd_compare,
     gh_vague_report,
     hausdorff_distance,
     kr_bruteforce,
@@ -375,30 +374,24 @@ class TestHausdorff:
 
 
 class TestFdd:
-    def test_grid_mismatch(self):
-        with pytest.raises(MeasureError):
-            fdd_compare([0.1, 0.2], [dirac(0)], [dirac(0), dirac(1)], line_dist)
+    """fdd's laws: marginals by kr_distance, and the joint law on tuples
+    under the max-coordinate metric, as run_fdd compares them."""
+
+    @staticmethod
+    def max_coordinate(p, q):
+        return max(line_dist(x, y) for x, y in zip(p, q))
 
     def test_identical_laws(self):
-        laws = [FiniteAtomMeasure.from_dict({0.0: 0.5, 1.0: 0.5})] * 3
-        rep = fdd_compare([1, 2, 3], laws, laws, line_dist,
-                          joint_a=dirac((0.0, 1.0, 0.0)),
-                          joint_b=dirac((0.0, 1.0, 0.0)))
-        assert rep.max_kr == pytest.approx(0.0, abs=1e-10)
-        assert rep.joint_kr == pytest.approx(0.0, abs=1e-10)
+        law = FiniteAtomMeasure.from_dict({0.0: 0.5, 1.0: 0.5})
+        assert kr_distance(law, law, line_dist) == pytest.approx(0.0, abs=1e-10)
+        joint = dirac((0.0, 1.0, 0.0))
+        assert kr_distance(joint, joint, self.max_coordinate) == pytest.approx(
+            0.0, abs=1e-10)
 
     def test_joint_metric_is_max_coordinate(self):
         a = dirac((0.0, 0.0))
         b = dirac((0.5, 1.2))
-        rep = fdd_compare([1, 2], [dirac(0.0)] * 2, [dirac(0.0)] * 2, line_dist,
-                          joint_a=a, joint_b=b)
-        assert rep.joint_kr == pytest.approx(1.2, abs=1e-9)
-
-    def test_joint_skipped_above_limit(self):
-        a = FiniteAtomMeasure(((0.0, 0.0), (1.0, 1.0)), (0.5, 0.5))
-        rep = fdd_compare([1, 2], [dirac(0.0)] * 2, [dirac(0.0)] * 2, line_dist,
-                          joint_a=a, joint_b=a, joint_limit=1)
-        assert rep.joint_kr is None
+        assert kr_distance(a, b, self.max_coordinate) == pytest.approx(1.2, abs=1e-9)
 
 
 class TestReport:
@@ -408,22 +401,22 @@ class TestReport:
         approx = SpeedMeasure([0.35, 0.35, 0.2, 0.1])
         rep = gh_vague_report(t, limit, [("8", approx), ("16", limit)],
                               radii=[1.5, 2.0], delta=0.6)
-        assert len(rep.rows) == 4
-        exact = [r for r in rep.rows if r.label == "16"]
+        assert len(rep) == 4
+        exact = [r for r in rep if r.label == "16"]
         for r in exact:
             assert r.prohorov == pytest.approx(0.0, abs=1e-10)
             assert r.kr == pytest.approx(0.0, abs=1e-10)
             assert r.hausdorff == 0.0
         # vertex 2 sits exactly on the radius-2 sphere and carries mass
-        assert all(r.flagged for r in rep.rows if r.radius == 2.0)
-        assert not any(r.flagged for r in rep.rows if r.radius == 1.5)
+        assert all(r.flagged for r in rep if r.radius == 2.0)
+        assert not any(r.flagged for r in rep if r.radius == 1.5)
 
     def test_m_delta_column_matches_lower_mass(self):
         t = path_tree([1.0, 1.0])
         m = SpeedMeasure([0.5, 0.25, 0.25])
         rep = gh_vague_report(t, m, [("x", m)], radii=[1.5], delta=0.5)
         want = lower_mass(t, m, 0.5, radius=1.5).value
-        assert rep.rows[0].m_delta == pytest.approx(want)
+        assert rep[0].m_delta == pytest.approx(want)
 
 
 class TestPolynomialBound:

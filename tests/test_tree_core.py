@@ -230,6 +230,17 @@ class TestBranchPoint:
         t = path_tree([1.0, 1.0, 1.0, 1.0])
         assert t.branch_point(0, 4, 2) == 2
 
+    def test_arrays_broadcast_like_scalars(self, rng):
+        t = random_tree(rng, 11)
+        x = int(rng.integers(0, t.n))
+        ys = rng.integers(0, t.n, size=6)
+        zs = rng.integers(0, t.n, size=(4, 1))
+        got = t.branch_point(x, ys, zs)
+        assert got.shape == (4, 6)
+        assert got.tolist() == [[t.branch_point(x, int(y), int(z[0])) for y in ys]
+                                for z in zs]
+        assert type(t.branch_point(x, int(ys[0]), int(zs[0, 0]))) is int
+
     def test_bruteforce_median(self, rng):
         # the branch point is the unique vertex on all three pairwise segments
         for _ in range(5):
@@ -293,6 +304,31 @@ class TestLengthMeasure:
                 assert total == pytest.approx(t.distance(t.root, a), rel=1e-12, abs=1e-12)
 
 
+def literal_epsilon_degree(t, x, eps):
+    """epsilon_degree's definition as a direct triple loop over v, u and w."""
+    count = 0
+    for v in range(t.n):
+        if t.distance(x, v) < eps - FLOAT_SLACK:
+            continue
+        ok = False
+        for u in range(t.n):
+            if t.distance(x, u) >= eps - FLOAT_SLACK:
+                continue
+            if not any(int(a) == u for a in t.neighbors(v)):
+                continue
+            for w in range(t.n):
+                if t.distance(x, w) < 2 * eps - FLOAT_SLACK:
+                    continue
+                if abs(t.distance(u, v) + t.distance(v, w) - t.distance(u, w)) <= 1e-9:
+                    ok = True
+                    break
+            if ok:
+                break
+        if ok:
+            count += 1
+    return count
+
+
 class TestEpsilonDegree:
     def test_single_vertex(self):
         t = build_tree({}, {}, 0)
@@ -311,31 +347,29 @@ class TestEpsilonDegree:
             t = random_tree(rng, 10)
             eps = float(rng.uniform(0.3, 2.0))
             x = int(rng.integers(0, t.n))
-            got = epsilon_degree(t, x, eps)
-            # direct triple loop over the definition
-            count = 0
-            for v in range(t.n):
-                if t.distance(x, v) < eps - FLOAT_SLACK:
-                    continue
-                ok = False
-                for u in range(t.n):
-                    if t.distance(x, u) >= eps - FLOAT_SLACK:
-                        continue
-                    if not any(int(a) == u for a in t.neighbors(v)):
-                        continue
-                    for w in range(t.n):
-                        if t.distance(x, w) < 2 * eps - FLOAT_SLACK:
-                            continue
-                        if abs(
-                            t.distance(u, v) + t.distance(v, w) - t.distance(u, w)
-                        ) <= 1e-9:
-                            ok = True
-                            break
-                    if ok:
-                        break
-                if ok:
-                    count += 1
-            assert got == count
+            assert epsilon_degree(t, x, eps) == literal_epsilon_degree(t, x, eps)
+
+    def test_matches_definition_on_larger_trees(self, rng):
+        for _ in range(4):
+            t = random_tree(rng, int(rng.integers(30, 81)))
+            for x in rng.integers(0, t.n, size=3):
+                eps = float(rng.uniform(0.3, 2.0))
+                assert epsilon_degree(t, int(x), eps) == literal_epsilon_degree(
+                    t, int(x), eps)
+
+    def test_unit_edges_hit_eps_and_two_eps_exactly(self, rng):
+        # integer distances land on the sphere of radius eps and of 2 eps;
+        # on the path 0-1-2-3 the vertex above the ball counts only when the
+        # root lies 2 eps away: from 3 it does, from 2 it does not
+        t = path_tree([1.0] * 3)
+        assert [epsilon_degree(t, x, 1.5) for x in (2, 3)] == [0, 1]
+        assert [literal_epsilon_degree(t, x, 1.5) for x in (2, 3)] == [0, 1]
+        for _ in range(3):
+            t = random_tree(rng, int(rng.integers(30, 81)), low=1.0, high=1.0)
+            for x in rng.integers(0, t.n, size=2):
+                for eps in (0.5, 1.0, 1.5, 2.0):
+                    assert epsilon_degree(t, int(x), eps) == literal_epsilon_degree(
+                        t, int(x), eps)
 
 
 class TestLowerMass:
