@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from . import exact
 from .families import (
@@ -147,9 +146,15 @@ class ExperimentConfig:
                 f"experiment {self.experiment!r}")
         if not self.n_list:
             raise ConfigError("n_list: must be nonempty")
+        # a repeated size would write a NaN trend statistic and overwrite
+        # its own per-size files
+        seen = set()
         for n in self.n_list:
             if _integer_from(1)(n):
                 raise ConfigError(f"n_list: sizes must be positive integers, got {n!r}")
+            if n in seen:
+                raise ConfigError(f"n_list: sizes must be distinct, got {n!r} twice")
+            seen.add(n)
         for t in self.times:
             if _positive(t):
                 raise ConfigError(f"times: entries must be positive finite numbers, got {t!r}")
@@ -744,6 +749,23 @@ def _spaces_table(spaces) -> list:
             for row in spaces]
 
 
+def _spearman(x, y) -> float:
+    """Spearman rank correlation of two equal-length sequences; 0.0 (no
+    trend) when either is constant.
+
+    Ties share their average rank and the statistic is the Pearson
+    correlation of the ranks, computed as ``scipy.stats.spearmanr`` does, so
+    the two agree bit for bit wherever that one is defined.
+    """
+    ranks = []
+    for v in (x, y):
+        _, inv, counts = np.unique(v, return_inverse=True, return_counts=True)
+        if counts.size == 1:
+            return 0.0
+        ranks.append((np.cumsum(counts) - (counts - 1) / 2)[inv])
+    return float(np.corrcoef(np.column_stack(ranks), rowvar=False)[1, 0])
+
+
 def _law_distances(check_id, times, levels, ref_laws, dist, seed_label):
     """KR gap of each level's law to the reference law at every time.
 
@@ -762,7 +784,7 @@ def _law_distances(check_id, times, levels, ref_laws, dist, seed_label):
     records = []
     for t, vals in zip(times, map(list, zip(*gaps))):
         decreasing = all(b < a for a, b in zip(vals, vals[1:]))
-        rho = float(sp_stats.spearmanr(n_list, vals).statistic) if len(vals) > 2 else (
+        rho = _spearman(n_list, vals) if len(vals) > 2 else (
             -1.0 if decreasing else 1.0)
         records.append(CheckRecord(
             f"{check_id}/strict-decrease", f"t={t}",

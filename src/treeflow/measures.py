@@ -27,7 +27,6 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .tree import (
     FLOAT_SLACK,
@@ -183,23 +182,19 @@ def _dinic_flow(na: int, nb: int, src_caps, snk_caps, ii, jj) -> float:
             flow += pushed
 
 
-def _interval_flow(pos_mu, w_mu, pos_nu, w_nu, eps: float) -> float:
+def _interval_flow(supply_pos, supply_w, demand_pos, demand_w,
+                   eps: float) -> float:
     """Max shippable mass when admissibility is |p - q| <= eps on a line.
 
-    Sweep demands in position order and serve each from the active supply
-    expiring soonest; the exchange argument makes this greedy exact, and it
-    stays O(n log n) where the generic solver would see dense graphs.
+    Both sides come sorted by position.  Sweep demands in position order and
+    serve each from the active supply expiring soonest; the exchange
+    argument makes this greedy exact, and it stays O(n log n) where the
+    generic solver would see dense graphs.
     """
-    order_mu = np.argsort(pos_mu, kind="stable")
-    order_nu = np.argsort(pos_nu, kind="stable")
-    supply_pos = np.asarray(pos_mu, dtype=np.float64)[order_mu]
-    supply_w = np.asarray(w_mu, dtype=np.float64)[order_mu]
     heap: list = []
     shipped = 0.0
     k = 0
-    for j in order_nu:
-        q = float(pos_nu[j])
-        demand = float(w_nu[j])
+    for q, demand in zip(demand_pos, demand_w):
         while k < len(supply_pos) and supply_pos[k] <= q + eps:
             heapq.heappush(heap, [supply_pos[k] + eps, supply_w[k]])
             k += 1
@@ -261,21 +256,27 @@ def prohorov(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist,
         if dists.shape != (len(mu), len(nu)):
             raise MeasureError("dists must be a len(mu) x len(nu) array")
     flat = dists.ravel()
-    order = np.argsort(flat, kind="stable")
-    dvals = flat[order]
-    ii = order // max(len(nu), 1)
-    jj = order % max(len(nu), 1)
     cuts = np.unique(np.concatenate(([0.0], flat)))
     mu_w = np.asarray(mu.weights, dtype=np.float64)
     nu_w = np.asarray(nu.weights, dtype=np.float64)
+    if line is not None:
+        # each side sorted by position once, for every probe
+        sides = []
+        for pos, w in ((line[ids_mu], mu_w), (line[ids_nu], nu_w)):
+            order = np.argsort(pos, kind="stable")
+            sides += [pos[order].tolist(), w[order].tolist()]
+    else:
+        order = np.argsort(flat, kind="stable")
+        dvals = flat[order]
+        ii = order // max(len(nu), 1)
+        jj = order % max(len(nu), 1)
     flows: dict[int, float] = {}
 
     def flow_at(k: int) -> float:
         if k not in flows:
             eps = cuts[k] + FLOAT_SLACK
             if line is not None:
-                flows[k] = _interval_flow(line[ids_mu], mu_w, line[ids_nu],
-                                          nu_w, eps)
+                flows[k] = _interval_flow(*sides, eps)
             else:
                 m = int(np.searchsorted(dvals, eps, side="right"))
                 flows[k] = _dinic_flow(len(mu), len(nu), mu_w, nu_w,
@@ -356,6 +357,19 @@ _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                "dual_feasibility_tolerance": 1e-10}
 # row subsets per batched det/solve in kr_bruteforce: bounds one chunk's systems
 SUBSET_BLOCK = 1 << 12
+
+
+def linprog(c, **kwargs):
+    """``scipy.optimize.linprog``, imported at the first call.
+
+    Importing scipy.optimize takes about 0.17 s and only the KR program
+    needs it, so a run that solves none never loads it.  kr_distance calls
+    the solver through this module-level name, which bench/tracer.py wraps
+    to count LP rows.
+    """
+    from scipy.optimize import linprog as solve
+
+    return solve(c, **kwargs)
 
 
 def kr_distance(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist) -> float:

@@ -249,10 +249,11 @@ def lockstep_ensemble(chain: WalkChain, start: int, stop_states, seed,
     A walk stops when it enters a vertex of ``stop_states`` (at time 0 if it
     starts in one), or at ``horizon`` in the state it holds there, whichever
     comes first.  Each sweep moves every running walk one jump: it draws
-    ``exponential(size=alive)`` and then ``random(size=alive)`` from one
-    generator in ascending replicate order, then picks every next state with
-    width - 1 compares of the uniforms against one contiguous column each of
-    cumulative jump probabilities (width is that of ``chain.jump_table``).
+    ``standard_exponential(alive)`` (the values ``exponential(size=alive)``
+    would give) and then ``random(alive)`` from one generator in ascending
+    replicate order, then picks every next state with width - 1 compares of
+    the uniforms against one contiguous column each of cumulative jump
+    probabilities (width is that of ``chain.jump_table``).
     The occupation is the time held at ``occupy`` before the end (zero
     without ``occupy``).  With ``keep_paths`` the result also logs
     ``(r, 0.0, start)`` and every jump taken before the end, at most one
@@ -299,7 +300,7 @@ def lockstep_ensemble(chain: WalkChain, start: int, stop_states, seed,
         sweeps += 1
         if sweeps > SWEEP_CAP:
             raise JumpCapExceeded(f"lockstep ensemble exceeded {SWEEP_CAP} sweeps")
-        dt = rng.exponential(size=cur.size) / exit_rate[cur]
+        dt = rng.standard_exponential(cur.size) / exit_rate[cur]
         t_new = t + dt
         u = rng.random(cur.size)
         k = cur * width

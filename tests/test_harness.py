@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from treeflow import exact, harness
 from treeflow.harness import (
@@ -34,6 +35,7 @@ from treeflow.harness import (
     stone_level,
 )
 from treeflow.cli import main as cli_main
+from treeflow.measures import FiniteAtomMeasure
 from treeflow.tree import SpeedMeasure
 from treeflow.walk import build_chain, lockstep_ensemble
 from conftest import path_tree
@@ -155,6 +157,35 @@ class TestRecords:
         assert parsed["experiment"] == "verify" and parsed["master_seed"] == 7
         assert parsed["all_passed"] is True
         assert parsed["records"][0]["check_id"] == "a"
+
+
+class TestTrend:
+    def test_spearman_matches_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(SEED)
+        checked = 0
+        for _ in range(3000):
+            k = int(rng.integers(3, 8))
+            # sizes and gaps, each either all distinct or drawn with ties
+            x = (rng.permutation(2 ** np.arange(1, k + 1)) if rng.random() < 0.5
+                 else rng.integers(1, 4, size=k))
+            y = (rng.random(k) if rng.random() < 0.5
+                 else rng.integers(0, 3, size=k) * 0.25)
+            if len(set(x.tolist())) == 1 or len(set(y.tolist())) == 1:
+                continue      # spearmanr warns and returns NaN there
+            want = float(stats.spearmanr(x.tolist(), y.tolist()).statistic)
+            assert harness._spearman(x.tolist(), y.tolist()) == want, (x, y)
+            checked += 1
+        assert checked > 2000
+
+    def test_constant_input_is_no_trend(self):
+        assert harness._spearman([2, 8, 32], [0.5, 0.5, 0.5]) == 0.0
+        assert harness._spearman([4, 4, 4], [0.1, 0.2, 0.3]) == 0.0
+        mu = FiniteAtomMeasure((0.0, 1.0), (0.5, 0.5))
+        levels = [(n, [mu], {}) for n in (2, 8, 32)]
+        _, records = harness._law_distances(
+            "x", (1.0,), levels, [mu], lambda p, q: abs(p - q), "s")
+        trend = [(r.statistic, r.passed) for r in records if r.check_id == "x/trend"]
+        assert trend == [(0.0, False)]
 
 
 def exceedance(chain, start, eps, horizon, seed, reps):
@@ -523,6 +554,8 @@ class TestCLI:
         ("coalescent", {"n_list": [4, 1]}, "n_list: coalescent sizes"),
         ("stone", {"n_list": [3, 4], "family": {}},
          "(the default, 2 * max(n_list))"),
+        ("fdd", {"n_list": [10, 10, 10]}, "n_list: sizes must be distinct, got 10"),
+        ("kesten", {"n_list": [8, 4, 8]}, "n_list: sizes must be distinct, got 8"),
     ])
     def test_bad_size_exits_two_before_writing(self, tmp_path, capsys,
                                                experiment, overrides, key):

@@ -1,7 +1,12 @@
 """Every name a package module or a test file imports is used in that file,
-and every private name the package defines is used by the package."""
+every private name the package defines is used by the package, and a CLI
+call loads only the scipy subpackages its experiment runs."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,3 +104,52 @@ def test_modules_found():
     ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Runs in a fresh interpreter: parse every shipped config, then run tiny
+# configs through the CLI, reporting which heavy scipy subpackages are loaded
+# after each step.  The last stdout line is the JSON report.
+COLD_START = """
+import json, sys
+from pathlib import Path
+from treeflow.cli import main
+from treeflow.harness import EXPERIMENTS, ExperimentConfig
+
+def loaded():
+    return sorted(m for m in ("scipy.optimize", "scipy.stats") if m in sys.modules)
+
+tmp = Path(sys.argv[1])
+for name in EXPERIMENTS:
+    ExperimentConfig.default(name)
+report = {"parse": loaded()}
+tiny = {
+    "binary-entrance": {"n_list": (2, 3), "replicates": 300},
+    "coalescent": {"n_list": (4,), "replicates": 400},
+    "kesten": {"n_list": (8,), "replicates": 40},
+    "fdd": {"n_list": (2, 8, 32)},
+}
+for name, kw in tiny.items():
+    cfg = ExperimentConfig.default(name).replace(output_dir=str(tmp / name), **kw)
+    path = tmp / f"{name}.json"
+    path.write_text(cfg.to_json())
+    report[name] = [main([name, "--config", str(path)]), loaded()]
+print(json.dumps(report))
+"""
+
+
+def test_cold_start_loads_neither_scipy_stats_nor_optimize(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {
+        "parse": [],
+        "binary-entrance": [0, []],
+        "coalescent": [0, []],
+        "kesten": [0, []],
+        # the first KR program loads scipy.optimize; the trend statistic
+        # over three levels still needs no scipy.stats
+        "fdd": [0, ["scipy.optimize"]],
+    }
