@@ -261,6 +261,16 @@ def _instance_hash(payload) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _mc_record(check_id, instance, h, mc, exact_value, se, seed) -> CheckRecord:
+    """Monte Carlo mean ``mc`` against its exact value, inside 4 standard
+    errors ``se``.  A zero standard error means the check measured nothing
+    (every replicate gave the same number), so the record fails."""
+    err = abs(mc - exact_value)
+    band = 4.0 * se
+    return CheckRecord(check_id, instance, h, err, band, band,
+                       se > 0.0 and err <= band, seed)
+
+
 def _spawn(master_seed: int, *key) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=int(master_seed),
                                   spawn_key=tuple(int(k) for k in key))
@@ -700,7 +710,10 @@ def stone_level(n: int, span_exponent: int = 2):
 
     Returns (tree, measure, positions): positions are the signed points
     +-q^k and 0, and the measure is the midpoint rule for Lebesgue measure on
-    them, so the root carries mass and every vertex is a chain state.
+    them, so the root carries mass and every vertex is a chain state.  The
+    lattice, masses and edge lengths are mirror symmetric about the root bit
+    for bit, so _stone_root_laws can take root laws on the lumped half
+    lattice.
     """
     q = 2.0 ** (1.0 / n)
     big_k = span_exponent * n
@@ -718,6 +731,51 @@ def stone_level(n: int, span_exponent: int = 2):
         right = gaps[j] if j < len(gaps) else 0.0
         masses[v] = 0.5 * (left + right)
     return tree, SpeedMeasure(masses), pos
+
+
+def _stone_root_laws(tree: RootedMetricTree, measure: SpeedMeasure, times,
+                     ids) -> list:
+    """Exact law at each time of the walk from the root of a stone_level
+    lattice, as measures with the atom of vertex v at ``ids[v]``.
+
+    The lattice, its masses and its edge lengths are symmetric under the
+    reflection x -> -x that swaps the two rays, so the law from the root is
+    even.  It is computed on the chain lumped over +-x, a path on the root
+    and one ray: the root keeps its mass, ray vertex x carries
+    m(x) + m(-x), and every ray edge has half its length, so twice its
+    conductance.  transition_laws on those 2K + 2 states instead of 4K + 3
+    takes about a quarter of the eigen time and memory, and each ray atom of
+    the lumped law is split evenly between +-x.  Raises ValueError unless
+    the rays mirror each other in layout, edge lengths and masses, bit for
+    bit.
+    """
+    masses = measure.masses
+    m = (tree.n - 1) // 2                  # vertices per ray
+    plus = np.arange(1, m + 1)
+    minus = plus + m
+    up = plus - 1                          # parents along the + ray
+    if (tree.n != 2 * m + 1 or tree.root != 0
+            or not np.array_equal(tree.parent[plus], up)
+            or not np.array_equal(tree.parent[minus], np.where(up > 0, up + m, 0))
+            or not np.array_equal(tree.edge_length[plus], tree.edge_length[minus])
+            or not np.array_equal(masses[plus], masses[minus])):
+        raise ValueError("stone lattice is not mirror symmetric about its "
+                         "root: the rays differ in layout, edge lengths or masses")
+    half_tree = build_tree(np.concatenate(([0], up)),
+                           np.concatenate(([0.0], tree.edge_length[plus] / 2.0)),
+                           root=0)
+    half = build_chain(half_tree, SpeedMeasure(
+        np.concatenate((masses[:1], masses[plus] + masses[minus]))))
+    laws = []
+    for law in exact.transition_laws(half, [0], times)[:, 0]:
+        lumped = np.zeros(m + 1)
+        lumped[half.states] = law
+        w = np.empty(tree.n)
+        w[0] = lumped[0]
+        w[plus] = w[minus] = lumped[1:] / 2.0
+        laws.append(FiniteAtomMeasure.from_dict(
+            {ids[v]: float(w[v]) for v in range(tree.n)}))
+    return laws
 
 
 def _stone_reference_ids(n: int, ref: int, span_exponent: int):
@@ -806,20 +864,26 @@ def _law_distances(check_id, times, levels, ref_laws, dist, seed_label):
 # qualitative diagnostic rather than a proof of convergence.
 
 def run_stone(config: ExperimentConfig) -> RunArtifacts:
+    """Stone's geometric lattices at each n against a finer reference level.
+
+    Every root law, the reference's and each level's, comes from the chain
+    lumped over x -> -x (_stone_root_laws), a birth-death chain on half the
+    states.  The spaces rows compare each level's measure, pushed onto the
+    reference lattice, with the reference measure.
+    """
     span = int(config.family.get("span_exponent", 2))
     ref_level = int(config.family.get("reference_level", 2 * max(config.n_list)))
     delta = float(config.family.get("delta", 0.25))
     times = config.times or (0.25, 1.0)
     ref_tree, ref_measure, _ = stone_level(ref_level, span)
-    ref_laws = _root_laws(build_chain(ref_tree, ref_measure), times,
-                          range(ref_tree.n))
+    ref_laws = _stone_root_laws(ref_tree, ref_measure, times, range(ref_tree.n))
     levels = []
     approximations = []
     for n in config.n_list:
         tree, measure, _ = stone_level(n, span)
         ids = _stone_reference_ids(n, ref_level, span)
         # atoms sit on their reference-lattice twins, so shared ones merge
-        laws = _root_laws(build_chain(tree, measure), times, ids.tolist())
+        laws = _stone_root_laws(tree, measure, times, ids.tolist())
         levels.append((n, laws, {"reference_level": ref_level}))
         pushed = np.zeros(ref_tree.n)
         np.add.at(pushed, ids, measure.masses)
@@ -950,10 +1014,8 @@ def run_entrance_demo(config: ExperimentConfig) -> RunArtifacts:
         mc_mean = float(times.mean())
         mc_se = float(times.std(ddof=1)) / math.sqrt(config.replicates)
         worst = max(worst, solved)
-        err = abs(mc_mean - solved)
-        records.append(CheckRecord(
-            "entrance/mc-return", f"depth={depth}", h, err, 4.0 * mc_se,
-            4.0 * mc_se, err <= 4.0 * mc_se,
+        records.append(_mc_record(
+            "entrance/mc-return", f"depth={depth}", h, mc_mean, solved, mc_se,
             _seed_label(config.master_seed, 7, depth)))
         rows.append({"depth": int(depth), "states": chain.n_states,
                      "exact": solved, "formula": closed, "bound": bound,
@@ -998,10 +1060,20 @@ def run_kesten_demo(config: ExperimentConfig,
                                 config.replicates, horizon=max(times),
                                 keep_paths=dump_paths)
         mean_end_height = float(tree.height[ens.endpoints].mean())
+        # exact law of X_T from the root, T = max(times)
+        law = exact.transition_laws(chain, [tree.root], (max(times),))[0, 0]
+        heights = tree.height[chain.states]
+        exact_mean = float(law @ heights)
+        variance = max(float(law @ heights ** 2) - exact_mean ** 2, 0.0)
+        records.append(_mc_record(
+            "kesten/end-height", f"n={n} t={max(times)}", h, mean_end_height,
+            exact_mean, math.sqrt(variance / config.replicates),
+            _seed_label(config.master_seed, 12, n, 1)))
         rows.append({"n": int(n), "states": chain.n_states,
                      "diameter": tree.diameter(),
                      "total_mass": float(measure.masses.sum()),
                      "mean_end_height": mean_end_height,
+                     "exact_end_height": exact_mean,
                      "replicates": config.replicates})
         if dump_paths:
             paths[f"kesten-n{n}"] = ens.paths
@@ -1051,18 +1123,24 @@ def run_coalescent_demo(config: ExperimentConfig) -> RunArtifacts:
         atom = coalescent_speed_measure(ct, "branch-atomic")
         dens = coalescent_speed_measure(ct, "skeleton-density")
         chain = build_chain(tree, atom)
-        start = chain.nearest_state(0)
+        # the state farthest from the root, so the walk is never started
+        # where it is stopped
+        start = chain.farthest_state(tree.root)
         solved = exact.expected_hitting(chain, start, tree.root)
+        # the paper's formula (1) with f = 1
+        closed = exact.occupation_functional(tree, atom, start, tree.root)
+        rel = abs(solved - closed) / closed
+        records.append(CheckRecord(
+            "coalescent/hitting-closed", f"n={n} start={start}", h, rel,
+            1e-9, 1e-9, rel <= 1e-9, "deterministic"))
         times = lockstep_ensemble(chain, start, (tree.root,),
                                   _spawn(config.master_seed, 13, n, 1),
                                   config.replicates).end_times
         mc_mean = float(times.mean())
         mc_se = float(times.std(ddof=1)) / math.sqrt(config.replicates)
-        err = abs(mc_mean - solved)
-        records.append(CheckRecord(
-            "coalescent/hitting-mc", f"n={n} start={start}", h, err,
-            4.0 * mc_se, 4.0 * mc_se, err <= 4.0 * mc_se,
-            _seed_label(config.master_seed, 13, n, 1)))
+        records.append(_mc_record(
+            "coalescent/hitting-mc", f"n={n} start={start}", h, mc_mean,
+            solved, mc_se, _seed_label(config.master_seed, 13, n, 1)))
         rows.append({"n": int(n), "vertices": tree.n,
                      "merges": len(ct.events),
                      "diameter": tree.diameter(),

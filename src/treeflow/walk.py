@@ -113,11 +113,11 @@ class WalkChain:
         return {int(self.states[j]): float(r) for j, r in zip(
             self.conductance.indices[lo:hi], self._rates[lo:hi])}
 
-    def nearest_state(self, vertex: int) -> int:
-        """State closest to a tree vertex; the lowest id among states within
-        FLOAT_SLACK of the closest distance."""
+    def farthest_state(self, vertex: int) -> int:
+        """State farthest from a tree vertex; the lowest id among states
+        within FLOAT_SLACK of the farthest distance."""
         d = self.tree.distance(int(vertex), self.states)
-        return int(self.states[np.flatnonzero(d <= d.min() + FLOAT_SLACK)[0]])
+        return int(self.states[np.flatnonzero(d >= d.max() - FLOAT_SLACK)[0]])
 
     def diameter(self) -> float:
         """Diameter of the state set in the ambient tree metric (double sweep)."""

@@ -20,7 +20,9 @@ from treeflow.harness import (
     ConfigError,
     ExperimentConfig,
     RunArtifacts,
+    _mc_record,
     _stone_reference_ids,
+    _stone_root_laws,
     _write,
     check_atom_law,
     check_discretization,
@@ -36,7 +38,7 @@ from treeflow.harness import (
 )
 from treeflow.cli import main as cli_main
 from treeflow.measures import FiniteAtomMeasure
-from treeflow.tree import SpeedMeasure
+from treeflow.tree import SpeedMeasure, build_tree
 from treeflow.walk import build_chain, lockstep_ensemble
 from conftest import path_tree
 
@@ -157,6 +159,64 @@ class TestRecords:
         assert parsed["experiment"] == "verify" and parsed["master_seed"] == 7
         assert parsed["all_passed"] is True
         assert parsed["records"][0]["check_id"] == "a"
+
+
+    @pytest.mark.parametrize("se, passed", [(0.0, False), (0.5, True)])
+    def test_mc_record_with_zero_band_fails(self, se, passed):
+        # mc equals the exact value, so only the band decides
+        rec = _mc_record("x/mc", "i", "h", 1.25, 1.25, se, "s")
+        assert (rec.statistic, rec.bound_or_target, rec.passed) == (0.0, 4 * se, passed)
+
+    def test_mc_record_band_is_four_standard_errors(self):
+        assert _mc_record("x/mc", "i", "h", 1.0, 3.0, 0.5, "s").passed
+        assert not _mc_record("x/mc", "i", "h", 1.0, 3.0 + 1e-12, 0.5, "s").passed
+
+
+class TestStoneLumping:
+    @pytest.mark.parametrize("n", [8, 32, 128, 256])
+    def test_lumped_laws_match_the_unfolded_engine(self, n):
+        times = (0.25, 1.0)
+        tree, measure, pos = stone_level(n)
+        lumped = _stone_root_laws(tree, measure, times, range(tree.n))
+        unfolded = exact.transition_laws(build_chain(tree, measure), [tree.root],
+                                         times)[:, 0]
+        mirror = {v: int(np.flatnonzero(pos == -pos[v])[0]) for v in range(tree.n)}
+        for law, want in zip(lumped, unfolded):
+            got = dict(zip(law.points, law.weights))
+            assert sorted(got) == list(range(tree.n))
+            w = np.array([got[v] for v in range(tree.n)])
+            assert np.abs(w - want).max() <= 1e-12
+            assert abs(w.sum() - 1.0) <= 1e-12
+            assert all(got[v] == got[mirror[v]] for v in range(tree.n))
+
+    def test_ids_place_the_atoms(self):
+        tree, measure, _ = stone_level(2)
+        ids = [10 * v for v in range(tree.n)]
+        plain = _stone_root_laws(tree, measure, (0.5,), range(tree.n))[0]
+        moved = _stone_root_laws(tree, measure, (0.5,), ids)[0]
+        assert moved.points == tuple(10 * v for v in plain.points)
+        assert moved.weights == plain.weights
+
+    def test_asymmetric_lattice_is_rejected(self):
+        tree, measure, _ = stone_level(4)
+        last = tree.n - 1                      # outermost vertex of the - ray
+        masses = measure.masses.copy()
+        masses[last] *= 1.0 + 1e-15
+        with pytest.raises(ValueError, match="not mirror symmetric"):
+            _stone_root_laws(tree, SpeedMeasure(masses), (1.0,), range(tree.n))
+        lengths = tree.edge_length.copy()
+        lengths[last] = np.nextafter(lengths[last], np.inf)
+        bent = build_tree(tree.parent, lengths, root=0)
+        with pytest.raises(ValueError, match="not mirror symmetric"):
+            _stone_root_laws(bent, measure, (1.0,), range(tree.n))
+        # unit paths through the root: two vertices on each side pass, three
+        # on one side and one on the other do not
+        unit = SpeedMeasure([1.0] * 5)
+        even = build_tree([0, 0, 1, 0, 3], [0.0] + [1.0] * 4, root=0)
+        assert len(_stone_root_laws(even, unit, (1.0,), range(5))) == 1
+        lopsided = build_tree([0, 0, 1, 2, 0], [0.0] + [1.0] * 4, root=0)
+        with pytest.raises(ValueError, match="not mirror symmetric"):
+            _stone_root_laws(lopsided, unit, (1.0,), range(5))
 
 
 class TestTrend:
@@ -438,6 +498,32 @@ class TestRunners:
                        output_dir=str(tmp_path / family["kind"]))
             art = run_experiment(cfg)
             assert art.all_passed, family
+
+    def test_coalescent_walks_start_away_from_the_root(self, tmp_path):
+        cfg = tiny("coalescent", n_list=(4, 8), replicates=400,
+                   output_dir=str(tmp_path / "c"))
+        art = run_experiment(cfg)
+        assert art.all_passed
+        mc = [r for r in art.records if r.check_id == "coalescent/hitting-mc"]
+        closed = [r for r in art.records if r.check_id == "coalescent/hitting-closed"]
+        assert [r.instance for r in mc] == [r.instance for r in closed]
+        assert all(r.bound_or_target > 0 and r.statistic > 0 for r in mc)
+        assert all(r.statistic <= 1e-9 for r in closed)
+        assert all(row["hit_exact"] > 0 and row["hit_se"] > 0
+                   for row in art.tables["coalescent"])
+
+    def test_kesten_end_height_has_an_exact_leg(self, tmp_path):
+        cfg = tiny("kesten", n_list=(8, 16), replicates=200,
+                   output_dir=str(tmp_path / "k"))
+        art = run_experiment(cfg)
+        assert art.all_passed
+        recs = [r for r in art.records if r.check_id == "kesten/end-height"]
+        assert [r.instance for r in recs] == ["n=8 t=0.3", "n=16 t=0.3"]
+        for rec, row in zip(recs, art.tables["kesten"]):
+            assert rec.bound_or_target > 0
+            assert rec.statistic == abs(row["mean_end_height"] - row["exact_end_height"])
+        with open(tmp_path / "k" / "kesten.csv", newline="") as fh:
+            assert "exact_end_height" in next(csv.reader(fh))
 
     def test_coalescent_rejects_bad_input(self, tmp_path):
         with pytest.raises(ConfigError, match="kind"):

@@ -186,6 +186,28 @@ class TestBuildChain:
             assert np.array_equal(got.data, q.data)
 
 
+class TestFarthestState:
+    def test_lowest_id_among_ties_and_never_the_vertex_itself(self):
+        # y_tree(2, 1, 2): leaves 1 and 3 tie at distance 2 from the root
+        chain = build_chain(y_tree(2.0, 1.0, 2.0), SpeedMeasure([1.0] * 4))
+        assert chain.farthest_state(0) == 1
+        assert chain.farthest_state(3) == 1
+        assert chain.farthest_state(1) == 3
+
+    def test_ties_within_float_slack(self):
+        chain = build_chain(y_tree(1.0 + FLOAT_SLACK / 4, 0.5, 1.0),
+                            SpeedMeasure([1.0] * 4))
+        assert chain.farthest_state(0) == 1
+        chain = build_chain(y_tree(1.0, 0.5, 1.0 + 4 * FLOAT_SLACK),
+                            SpeedMeasure([1.0] * 4))
+        assert chain.farthest_state(0) == 3
+
+    def test_only_states_count(self):
+        # leaf 3 is farthest but has no mass, so it is folded away
+        chain = build_chain(y_tree(1.0, 0.5, 2.0), SpeedMeasure([1.0, 1.0, 1.0, 0.0]))
+        assert chain.farthest_state(0) == 1
+
+
 class TestSimulate:
     """Laws of walks sampled by `lockstep_ensemble`."""
 
