@@ -37,7 +37,6 @@ from .exact import (
     OracleError,
     atom_law,
     capacity,
-    capacity_variational,
     expected_hitting,
     green_kernel,
     harmonic_extension,
@@ -58,7 +57,6 @@ from .measures import (
     gh_vague_report,
     hausdorff_distance,
     kr_distance,
-    polynomial_lower_bound,
     prohorov,
     tree_metric,
 )
@@ -80,7 +78,6 @@ from .families import (
     gw_conditioned,
     kesten_excursion,
     merge_rate,
-    offspring_custom,
     offspring_geometric,
     offspring_poisson,
     reflect_path,

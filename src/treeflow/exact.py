@@ -141,12 +141,6 @@ def tree_energy(tree: RootedMetricTree, f) -> float:
     return 0.5 * acc
 
 
-def capacity_variational(tree: RootedMetricTree, y: int, z: int) -> float:
-    """Capacity as the energy of the harmonic potential; cross-checks capacity()."""
-    h = harmonic_extension(tree, {y: 1.0, z: 0.0})
-    return tree_energy(tree, h)
-
-
 # ------------------------------------------------------------- one-atom law
 
 @dataclass(frozen=True)
@@ -164,17 +158,6 @@ class AtomLaw:
     @property
     def mean(self) -> float:
         return (1.0 - self.zero_weight) * self.exp_mean
-
-    def cdf(self, t: float) -> float:
-        if t < 0:
-            return 0.0
-        tail = (1.0 - self.zero_weight) * math.exp(-t / self.exp_mean)
-        return 1.0 - tail
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        out = rng.exponential(scale=self.exp_mean, size=size)
-        out[rng.random(size) < self.zero_weight] = 0.0
-        return out
 
 
 def atom_law(tree: RootedMetricTree, measure: SpeedMeasure,
@@ -380,15 +363,13 @@ def heat_kernel(chain: WalkChain, start: int, times) -> HeatKernelResult:
         terms <= a_max + 39 * sqrt(a_max) + 499,   a_max = L * max(times),
 
     for finite nonnegative times; others, and a start that is not a chain
-    state, raise OracleError.
+    state, raise OracleError.  B is held dense, O(n^2) memory for n states:
+    the oracle runs on small chains, where a dense matvec beats a sparse one.
     """
     (first,), tlist = _law_inputs(chain, (start,), times)
     n = chain.n_states
     lam = 1.1 * float(chain.exit_rate.max())
-    b = sp.identity(n, format="csr") + chain.generator / lam
-    if n <= 600:
-        # sparse matvec overhead dominates at this size
-        b = b.toarray()
+    b = (sp.identity(n, format="csr") + chain.generator / lam).toarray()
 
     out = np.zeros((len(tlist), n))
     cum = np.zeros(len(tlist))

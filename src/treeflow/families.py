@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -55,15 +55,8 @@ class Excursion:
         object.__setattr__(self, "samples", arr)
 
     @property
-    def two_sided(self) -> bool:
-        return self.origin > 0
-
-    @property
     def n(self) -> int:
         return int(self.samples.size)
-
-    def abscissa(self, k: int) -> float:
-        return (k - self.origin) * self.step
 
 
 def excursion_distance(exc: Excursion, i: int, j: int) -> float:
@@ -194,18 +187,20 @@ def degree_measure(tree: RootedMetricTree, scale: float = 1.0) -> SpeedMeasure:
 
 @dataclass(frozen=True)
 class OffspringLaw:
-    """Critical offspring distribution with known variance."""
+    """Critical offspring distribution with known variance: "geometric"
+    or "poisson"."""
 
     name: str
     sigma2: float
-    probs: Optional[tuple] = None    # set for table-based laws
+
+    def __post_init__(self):
+        if self.name not in ("geometric", "poisson"):
+            raise FamilyError(f"unknown offspring law {self.name!r}")
 
     def sample(self, rng: np.random.Generator) -> int:
         if self.name == "geometric":
             return int(rng.geometric(0.5)) - 1
-        if self.name == "poisson":
-            return int(rng.poisson(1.0))
-        return int(rng.choice(len(self.probs), p=self.probs))
+        return int(rng.poisson(1.0))
 
     @property
     def sigma(self) -> float:
@@ -220,19 +215,6 @@ def offspring_geometric() -> OffspringLaw:
 def offspring_poisson() -> OffspringLaw:
     """Poisson with unit mean and variance."""
     return OffspringLaw("poisson", 1.0)
-
-
-def offspring_custom(probs: Sequence[float]) -> OffspringLaw:
-    probs = tuple(float(p) for p in probs)
-    if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
-        raise FamilyError("probabilities must be nonnegative and sum to 1")
-    mean = sum(k * p for k, p in enumerate(probs))
-    if abs(mean - 1.0) > 1e-9:
-        raise FamilyError(f"offspring mean must be 1, got {mean}")
-    sigma2 = sum(k * k * p for k, p in enumerate(probs)) - 1.0
-    if sigma2 <= 0:
-        raise FamilyError("offspring variance must be positive")
-    return OffspringLaw("custom", sigma2, probs)
 
 
 @dataclass

@@ -88,11 +88,6 @@ def _unit_interval(v):
         return "must be a number in (0, 1]"
 
 
-def _boolean(v):
-    if not isinstance(v, bool):
-        return "must be true or false"
-
-
 def _coalescent_kind(v):
     if v not in ("kingman", "beta", "atoms"):
         return "must be one of 'kingman', 'beta', 'atoms'"
@@ -109,15 +104,16 @@ def _atom_list(v):
 # returns a description of the problem, or None when the value is fine
 _FAMILY_SCHEMA = {
     "verify": {"scale": _unit_interval},
-    "stone": {"span_exponent": _integer_from(1),
-              "reference_level": _integer_from(1), "delta": _positive},
-    "crt": {"knots": _integer_from(2), "delta": _positive},
+    "stone": {"reference_level": _integer_from(1)},
+    "crt": {"knots": _integer_from(2)},
     "binary-entrance": {},
     "kesten": {"horizon": _positive},
     "coalescent": {"kind": _coalescent_kind, "a": _positive, "b": _positive,
                    "atoms": _atom_list},
-    "fdd": {"mass_floor": _positive, "with_joint": _boolean},
+    "fdd": {"mass_floor": _positive},
 }
+# experiments whose laws are taken at config.times
+_TIMED = ("stone", "crt", "kesten", "fdd")
 
 
 class ConfigError(ValueError):
@@ -160,6 +156,9 @@ class ExperimentConfig:
                 raise ConfigError(f"times: entries must be positive finite numbers, got {t!r}")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ConfigError("times: must be strictly increasing")
+        if not self.times and self.experiment in _TIMED:
+            raise ConfigError(f"times: must be nonempty for experiment "
+                              f"{self.experiment!r}")
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         if _integer_from(1)(self.replicates):
             raise ConfigError("replicates: must be a positive integer")
@@ -705,7 +704,11 @@ def run_verify(config: ExperimentConfig) -> RunArtifacts:
 
 # -- convergence families ----------------------------------------------------
 
-def stone_level(n: int, span_exponent: int = 2):
+# stone lattices at level n span [-2^STONE_SPAN, 2^STONE_SPAN]: K = STONE_SPAN * n
+STONE_SPAN = 2
+
+
+def stone_level(n: int):
     """Geometric two-ray lattice with ratio 2^(1/n), embedded in the line.
 
     Returns (tree, measure, positions): positions are the signed points
@@ -716,7 +719,7 @@ def stone_level(n: int, span_exponent: int = 2):
     lattice.
     """
     q = 2.0 ** (1.0 / n)
-    big_k = span_exponent * n
+    big_k = STONE_SPAN * n
     tree, _ = stone_tq(q, big_k)
     pos = np.zeros(tree.n)
     for k in range(-big_k, big_k + 1):
@@ -778,10 +781,10 @@ def _stone_root_laws(tree: RootedMetricTree, measure: SpeedMeasure, times,
     return laws
 
 
-def _stone_reference_ids(n: int, ref: int, span_exponent: int):
+def _stone_reference_ids(n: int, ref: int):
     """Map level-n vertices onto the reference lattice (n must divide ref)."""
     stride = ref // n
-    big_k, big_kr = span_exponent * n, span_exponent * ref
+    big_k, big_kr = STONE_SPAN * n, STONE_SPAN * ref
     m = 4 * big_k + 3
     ids = np.zeros(m, dtype=np.int64)
     mr = 4 * big_kr + 3
@@ -871,17 +874,16 @@ def run_stone(config: ExperimentConfig) -> RunArtifacts:
     states.  The spaces rows compare each level's measure, pushed onto the
     reference lattice, with the reference measure.
     """
-    span = int(config.family.get("span_exponent", 2))
     ref_level = int(config.family.get("reference_level", 2 * max(config.n_list)))
-    delta = float(config.family.get("delta", 0.25))
-    times = config.times or (0.25, 1.0)
-    ref_tree, ref_measure, _ = stone_level(ref_level, span)
+    delta = 0.25                  # ball radius of the spaces rows' mass floor
+    times = config.times
+    ref_tree, ref_measure, _ = stone_level(ref_level)
     ref_laws = _stone_root_laws(ref_tree, ref_measure, times, range(ref_tree.n))
     levels = []
     approximations = []
     for n in config.n_list:
-        tree, measure, _ = stone_level(n, span)
-        ids = _stone_reference_ids(n, ref_level, span)
+        tree, measure, _ = stone_level(n)
+        ids = _stone_reference_ids(n, ref_level)
         # atoms sit on their reference-lattice twins, so shared ones merge
         laws = _stone_root_laws(tree, measure, times, ids.tolist())
         levels.append((n, laws, {"reference_level": ref_level}))
@@ -890,10 +892,10 @@ def run_stone(config: ExperimentConfig) -> RunArtifacts:
         approximations.append((f"n={n}", SpeedMeasure(pushed)))
     rows, records = _law_distances("stone", times, levels, ref_laws,
                                    tree_metric(ref_tree), "deterministic")
-    # radii off the lattice: no vertex height is 2^span * 0.3 or 0.6, so the
-    # boundary-tie flag stays quiet.  The lattice is a path, so Prohorov
-    # runs on its sweep.
-    radii = [0.3 * 2.0 ** span, 0.6 * 2.0 ** span]
+    # radii off the lattice: no vertex height is 2^STONE_SPAN * 0.3 or 0.6,
+    # so the boundary-tie flag stays quiet.  The lattice is a path, so
+    # Prohorov runs on its sweep.
+    radii = [0.3 * 2.0 ** STONE_SPAN, 0.6 * 2.0 ** STONE_SPAN]
     spaces = gh_vague_report(ref_tree, ref_measure, approximations, radii,
                              delta)
     return RunArtifacts(records, {"distances": rows,
@@ -904,8 +906,7 @@ def run_fdd(config: ExperimentConfig) -> RunArtifacts:
     """Two-vertex family with vanishing far mass: marginals converge while
     the lower mass bound collapses, so space convergence is flagged."""
     floor = float(config.family.get("mass_floor", 0.05))
-    with_joint = bool(config.family.get("with_joint", True))
-    times = config.times or (0.25, 1.0)
+    times = config.times
     tree = build_tree({1: 0}, {1: 1.0}, root=0)
     dist = tree_metric(tree)
 
@@ -919,7 +920,7 @@ def run_fdd(config: ExperimentConfig) -> RunArtifacts:
         chain = build_chain(tree, measure)
         laws = _root_laws(chain, times, range(tree.n))
         joint_kr = ""
-        if with_joint and len(times) >= 2:
+        if len(times) >= 2:
             # Markov property gives the exact two-time joint law
             gap = exact.transition_laws(chain, chain.states,
                                         (times[1] - times[0],))[0]
@@ -967,8 +968,7 @@ def run_crt(config: ExperimentConfig) -> RunArtifacts:
     from .families import Excursion, glue_excursion
 
     knots = int(config.family.get("knots", 256))
-    delta_key = config.family.get("delta")
-    times = config.times or (0.05, 0.2)
+    times = config.times
     rng = rng_from(_spawn(config.master_seed, 11))
     w = _lattice_excursion_samples(rng, knots // 2)
     scale = 1.0 / math.sqrt(len(w))
@@ -977,7 +977,7 @@ def run_crt(config: ExperimentConfig) -> RunArtifacts:
     ambient, ambient_measure = glued.tree, glued.measure
     dist = tree_metric(ambient)
     diam = ambient.diameter()
-    delta = float(delta_key) if delta_key is not None else 0.1 * diam
+    delta = 0.1 * diam            # ball radius of the spaces rows' mass floor
     ids = range(ambient.n)
     ref_laws = _root_laws(build_chain(ambient, ambient_measure), times, ids)
     levels = []
@@ -1033,7 +1033,7 @@ def run_kesten_demo(config: ExperimentConfig,
                     dump_paths: bool = False) -> RunArtifacts:
     """Glued reflected-walk trees across sizes, with short walk summaries."""
     horizon = float(config.family.get("horizon", 1.0))
-    times = config.times or (0.1, 0.3)
+    times = config.times
     records = []
     rows = []
     trees = {}

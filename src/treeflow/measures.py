@@ -21,7 +21,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -68,16 +67,6 @@ class FiniteAtomMeasure:
                 ws.append(w)
         return cls(tuple(pts), tuple(ws))
 
-    @classmethod
-    def from_samples(cls, samples, total: float = 1.0) -> "FiniteAtomMeasure":
-        samples = list(samples)
-        if not samples:
-            raise MeasureError("need at least one sample")
-        counts = Counter(samples)
-        scale = total / len(samples)
-        return cls(tuple(counts.keys()),
-                   tuple(c * scale for c in counts.values()))
-
     @property
     def total(self) -> float:
         return float(sum(self.weights))
@@ -85,19 +74,8 @@ class FiniteAtomMeasure:
     def __len__(self) -> int:
         return len(self.points)
 
-    def mass(self, point) -> float:
-        for p, w in zip(self.points, self.weights):
-            if p == point:
-                return w
-        return 0.0
-
     def as_dict(self) -> dict:
         return dict(zip(self.points, self.weights))
-
-
-def empirical_law(samples) -> FiniteAtomMeasure:
-    """Probability measure putting 1/n on each sample (ties aggregated)."""
-    return FiniteAtomMeasure.from_samples(samples, total=1.0)
 
 
 @dataclass(frozen=True)
@@ -540,20 +518,3 @@ def gh_vague_report(tree: RootedMetricTree, limit_measure: SpeedMeasure,
                 flagged=flagged,
             ))
     return rows
-
-
-def polynomial_lower_bound(tree: RootedMetricTree, measure: SpeedMeasure,
-                           deltas: Sequence[float], kappa: float) -> float:
-    """Largest c with ball mass >= c * delta^kappa over all centers and deltas.
-
-    Open balls; a zero return means some ball in the range carries no mass
-    and no polynomial floor of that exponent exists.
-    """
-    best = math.inf
-    everyone = np.arange(tree.n)
-    for d in deltas:
-        if d <= 0:
-            raise MeasureError("deltas must be positive")
-        masses = measure.ball_masses(tree, everyone, d, closed=False)
-        best = min(best, float((masses / d ** kappa).min()))
-    return float(best)

@@ -212,9 +212,6 @@ class RootedMetricTree:
 
     # -- basic queries ----------------------------------------------------
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def children(self, v: int) -> np.ndarray:
         return self._children[v]
 
@@ -300,12 +297,6 @@ class RootedMetricTree:
             raise TreeError(f"vertex {x} outside vertex range 0..{self.n - 1}")
         # the full slice indexes every vertex without gathering
         return self._distance_array(x, slice(None))
-
-    def distance_matrix(self) -> np.ndarray:
-        if self.n > 2000:
-            raise TreeError(f"distance matrix capped at 2000 vertices, tree has {self.n}")
-        everyone = np.arange(self.n)
-        return self.distance_block(everyone, everyone)
 
     def diameter(self) -> float:
         """Exact diameter via a double farthest-point sweep."""
@@ -707,7 +698,6 @@ def epsilon_net(tree: RootedMetricTree, eps: float) -> np.ndarray:
 class Projection:
     psi: np.ndarray            # psi[x] = deepest subset vertex on the root segment of x
     pushforward: SpeedMeasure  # masses moved onto the subset, ambient ids
-    branch_closed: bool
     max_displacement: float
 
 
@@ -720,10 +710,9 @@ def project_psi(tree: RootedMetricTree, measure: SpeedMeasure,
     psi = _root_ward(tree, in_s)
     pushed = np.zeros(tree.n, dtype=np.float64)
     np.add.at(pushed, psi, measure.masses)
-    closed = len(branch_closure(tree, s)) == len(s)
     disp = tree.distance(np.arange(tree.n), psi).max()
     return Projection(psi=psi, pushforward=SpeedMeasure(pushed),
-                      branch_closed=closed, max_displacement=float(disp))
+                      max_displacement=float(disp))
 
 
 def _root_ward(tree: RootedMetricTree, in_s: np.ndarray) -> np.ndarray:

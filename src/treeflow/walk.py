@@ -101,11 +101,6 @@ class WalkChain:
     def total_mass(self) -> float:
         return float(self.mass.sum())
 
-    def rate(self, u: int, v: int) -> float:
-        """Jump rate u -> v; 0.0 between states that share no conductance."""
-        i, j = _state_index(self, u, "from"), _state_index(self, v, "to")
-        return self.conductance[i, j] / (2.0 * self.mass[i])
-
     def jump_rates(self, u: int) -> dict[int, float]:
         """Rate to each neighbor of u, keyed by vertex id."""
         i = _state_index(self, u, "from")

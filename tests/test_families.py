@@ -10,6 +10,7 @@ from treeflow.families import (
     CoalescentSpec,
     Excursion,
     FamilyError,
+    OffspringLaw,
     binary_tree,
     coalescent_speed_measure,
     coalescent_tree,
@@ -19,7 +20,6 @@ from treeflow.families import (
     gw_conditioned,
     kesten_excursion,
     merge_rate,
-    offspring_custom,
     offspring_geometric,
     offspring_poisson,
     reflect_path,
@@ -110,9 +110,8 @@ class TestGlue:
             Excursion(np.array([0.0, 1.0, 0.0]), step=1.0, origin=5)
         with pytest.raises(FamilyError):
             Excursion(np.array([]), step=1.0)
-        two = Excursion(np.array([2.0, 0.0, 1.0]), step=1.0, origin=1)
-        assert two.two_sided
-        assert two.abscissa(0) == -1.0
+        # a two-sided excursion only needs height 0 at the origin
+        Excursion(np.array([2.0, 0.0, 1.0]), step=1.0, origin=1)
 
     def test_cross_side_distance_uses_complement(self):
         # heights 2,0,1 around origin 1: outer infima are the endpoints
@@ -203,27 +202,18 @@ class TestGWConditioned:
             for u in range(chain.n_states):
                 assert chain.exit_rate[u] == pytest.approx(want, rel=1e-12)
 
-    def test_custom_law(self):
-        law = offspring_custom([0.25, 0.5, 0.25])
-        assert law.sigma2 == pytest.approx(0.5)
-        sample = gw_conditioned(law, 6, seed=3)
-        assert sample.tree.n == 6
-        with pytest.raises(FamilyError):
-            offspring_custom([0.5, 0.5, 0.25])     # sums to 1.25
-        with pytest.raises(FamilyError):
-            offspring_custom([0.9, 0.1])           # mean 0.1
-        with pytest.raises(FamilyError):
-            offspring_custom([0.0, 1.0])           # zero variance
-
-    def test_parity_obstruction_hits_cap(self):
-        # only odd population sizes are reachable for this law
-        law = offspring_custom([0.5, 0.0, 0.5])
-        with pytest.raises(FamilyError):
-            gw_conditioned(law, 4, seed=2, max_attempts=300)
+    def test_attempt_cap_raises(self):
+        # one attempt at this seed does not reach 40 vertices exactly
+        with pytest.raises(FamilyError, match="no tree of size 40 in 1 attempts"):
+            gw_conditioned(offspring_geometric(), 40, seed=2, max_attempts=1)
 
     def test_bad_size(self):
         with pytest.raises(FamilyError):
             gw_conditioned(offspring_geometric(), 1, seed=0)
+
+    def test_unknown_law_is_rejected(self):
+        with pytest.raises(FamilyError, match="unknown offspring law 'custom'"):
+            OffspringLaw("custom", 0.5)
 
     def test_deterministic_in_seed(self):
         a = gw_conditioned(offspring_poisson(), 9, seed=55)

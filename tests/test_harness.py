@@ -380,7 +380,7 @@ class TestRunners:
                  output_dir=str(tmp_path / "v"))
 
     def test_stone_small(self, tmp_path):
-        cfg = tiny("stone", family={"span_exponent": 2, "reference_level": 8},
+        cfg = tiny("stone", family={"reference_level": 8},
                    n_list=(2, 4), times=(0.3, 1.0),
                    output_dir=str(tmp_path / "s"))
         art = run_experiment(cfg)
@@ -396,20 +396,20 @@ class TestRunners:
 
     def test_stone_reference_must_divide(self, tmp_path):
         with pytest.raises(ConfigError, match="reference_level"):
-            tiny("stone", family={"span_exponent": 2, "reference_level": 9},
+            tiny("stone", family={"reference_level": 9},
                  n_list=(2,), output_dir=str(tmp_path / "s"))
         # the default level, 2 * max(n_list) = 8, is not a multiple of 3
         with pytest.raises(ConfigError, match=r"got 8 \(the default"):
             tiny("stone", family={}, n_list=(3, 4), output_dir=str(tmp_path / "s"))
 
     def test_stone_level_measure_is_midpoint_rule(self):
-        tree, measure, pos = stone_level(2, span_exponent=2)
+        tree, measure, pos = stone_level(2)
         order = np.argsort(pos)
         total = pos[order][-1] - pos[order][0]
         assert measure.masses.sum() == pytest.approx(total, rel=1e-12)
         assert measure.masses.min() > 0
-        ids = _stone_reference_ids(2, 8, 2)
-        _, _, ref_pos = stone_level(8, span_exponent=2)
+        ids = _stone_reference_ids(2, 8)
+        _, _, ref_pos = stone_level(8)
         assert np.allclose(ref_pos[ids], pos, atol=1e-12)
 
     def test_fdd_small(self, tmp_path):
@@ -625,6 +625,15 @@ class TestCLI:
         ("coalescent", {"kind": "beta"}, "family.a"),
         ("stone", {"reference_level": 100}, "reference_level"),
         ("fdd", {"mass_floor": "x"}, "mass_floor"),
+        # keys that only ever took one value, now constants of their runners
+        ("stone", {"reference_level": 256, "span_exponent": 2},
+         "unknown key 'span_exponent' for experiment 'stone'"),
+        ("stone", {"reference_level": 256, "delta": 0.25},
+         "unknown key 'delta' for experiment 'stone'"),
+        ("crt", {"knots": 256, "delta": 0.1},
+         "unknown key 'delta' for experiment 'crt'"),
+        ("fdd", {"mass_floor": 0.05, "with_joint": True},
+         "unknown key 'with_joint' for experiment 'fdd'"),
     ])
     def test_bad_family_value_exits_two(self, tmp_path, capsys, experiment,
                                         family, key):
@@ -642,6 +651,11 @@ class TestCLI:
          "(the default, 2 * max(n_list))"),
         ("fdd", {"n_list": [10, 10, 10]}, "n_list: sizes must be distinct, got 10"),
         ("kesten", {"n_list": [8, 4, 8]}, "n_list: sizes must be distinct, got 8"),
+        # the runs that take laws at config.times need at least one
+        ("stone", {"times": []}, "times: must be nonempty for experiment 'stone'"),
+        ("crt", {"times": []}, "times: must be nonempty for experiment 'crt'"),
+        ("fdd", {"times": []}, "times: must be nonempty for experiment 'fdd'"),
+        ("kesten", {"times": []}, "times: must be nonempty for experiment 'kesten'"),
     ])
     def test_bad_size_exits_two_before_writing(self, tmp_path, capsys,
                                                experiment, overrides, key):

@@ -1,6 +1,7 @@
 """Every name a package module or a test file imports is used in that file,
-every private name the package defines is used by the package, and a CLI
-call loads only the scipy subpackages its experiment runs."""
+every private name the package defines is used by the package, every public
+function and class is read by the package, the benchmark or the acceptance
+tests, and a CLI call loads only the scipy subpackages its experiment runs."""
 
 import ast
 import json
@@ -17,6 +18,7 @@ PACKAGE = Path(treeflow.__file__).resolve().parent
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def unused_imports(source: str) -> list:
@@ -45,13 +47,24 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
+def _reads(tree: ast.AST) -> set:
+    """Names a module reads: a plain name in load or delete context, an
+    attribute, or a ``from ... import``; a definition does not read its own
+    name."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(a.name for a in node.names)
+    return used
+
+
 def unreferenced_private_names(sources: dict) -> list:
     """(file, line, name) for each private module-level function, class or
-    constant, or private method, that no source reads.
-
-    A read is a plain name in load or delete context, an attribute, or a
-    ``from ... import``; a definition does not read its own name.
-    """
+    constant, or private method, that no source reads (see _reads)."""
     defined, used = [], set()
     for label, source in sources.items():
         tree = ast.parse(source)
@@ -65,13 +78,7 @@ def unreferenced_private_names(sources: dict) -> list:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined += [(label, node.lineno, t.id) for t in targets
                             if isinstance(t, ast.Name)]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(a.name for a in node.names)
+        used |= _reads(tree)
     return sorted(d for d in defined if _is_private(d[2]) and d[2] not in used)
 
 
@@ -93,6 +100,72 @@ def test_the_scan_sees_an_unreferenced_private_name():
 def test_no_unreferenced_private_names_in_the_package():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def unreferenced_public_names(sources: dict, readers: dict) -> list:
+    """(file, line, name) for each public module-level function or class in
+    ``sources`` that no text in ``readers`` reads (see _reads)."""
+    used = set()
+    for source in readers.values():
+        used |= _reads(ast.parse(source))
+    return sorted(
+        (label, node.lineno, node.name)
+        for label, source in sources.items() for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in used)
+
+
+def test_the_scan_sees_an_unreferenced_public_name():
+    sources = {
+        "a.py": ("def used():\n    return Box()\n"
+                 "def dead():\n    pass\n"
+                 "class Gone:\n    pass\n"
+                 "def _private():\n    pass\n"
+                 "class Box:\n    pass\n"),
+    }
+    # a.py reads Box and b.py reads used; a unit test that reads dead is
+    # not among the readers
+    readers = {**sources, "b.py": "from a import used\n"}
+    assert unreferenced_public_names(sources, readers) == [
+        ("a.py", 3, "dead"), ("a.py", 5, "Gone")]
+
+
+# Public functions and classes that only their own unit tests read, kept on
+# purpose: name -> why.  Methods (RootedMetricTree.ancestors and .neighbors,
+# which the tree oracles use) are outside the scan.
+KEPT_PUBLIC = {
+    "capacity": "closed form of cap(y, z); its test checks it against the "
+                "energy of the harmonic potential",
+    "dirichlet_energy": "the oracle of the generator tests, which check "
+                        "E(f, g) = -(Lf, g)",
+    "excursion_distance": "the pseudo-distance straight from the definition, "
+                          "the oracle of the gluing tests",
+    "load_tree": "reads the .tree files that kesten and coalescent runs write",
+    "restrict": "the sampler-locality test restricts trees to a ball with it",
+}
+
+
+def _public_scan(allowed) -> list:
+    """The package's unread public names outside ``allowed``.  Readers are
+    the package modules (__init__.py only re-exports), bench/ and the
+    acceptance tests; the other test files do not count."""
+    sources = {p.name: p.read_text() for p in MODULES}
+    readers = {**sources,
+               **{str(p): p.read_text() for p in sorted(BENCH.rglob("*.py"))},
+               "test_acceptance.py": (Path(__file__).resolve().parent
+                                      / "test_acceptance.py").read_text()}
+    return [d for d in unreferenced_public_names(sources, readers)
+            if d[2] not in allowed]
+
+
+def test_every_public_name_feeds_a_run_a_check_or_an_acceptance_test():
+    assert _public_scan(KEPT_PUBLIC) == []
+
+
+def test_every_kept_public_name_is_still_unread():
+    # fails once a kept name gains a reader or is deleted, so no entry goes
+    # stale
+    assert sorted(d[2] for d in _public_scan(())) == sorted(KEPT_PUBLIC)
 
 
 def test_modules_found():
@@ -153,3 +226,19 @@ def test_cold_start_loads_neither_scipy_stats_nor_optimize(tmp_path):
         # over three levels still needs no scipy.stats
         "fdd": [0, ["scipy.optimize"]],
     }
+
+
+def test_the_bench_entry_points_still_bind():
+    # bench/setup_probe.py and bench/run.py import ExperimentConfig from
+    # treeflow.harness, and bench/tests/test_tracer.py reads RUNNERS,
+    # run_verify and build_chain there
+    from treeflow import EXPERIMENTS, harness
+
+    for name in ("ExperimentConfig", "RUNNERS", "run_verify", "build_chain"):
+        assert hasattr(harness, name), name
+    assert len(EXPERIMENTS) == 7
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "setup_probe.py"), str(PACKAGE.parent), "1",
+         *EXPERIMENTS], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["ready"]

@@ -9,12 +9,10 @@ import pytest
 from treeflow import measures
 from treeflow.measures import (
     FiniteAtomMeasure,
-    empirical_law,
     gh_vague_report,
     hausdorff_distance,
     kr_bruteforce,
     kr_distance,
-    polynomial_lower_bound,
     prohorov,
     prohorov_bruteforce,
     tree_metric,
@@ -104,13 +102,7 @@ class TestFiniteAtomMeasure:
         m = FiniteAtomMeasure.from_dict({0: 1.0, 1: 0.0, 2: 0.5})
         assert set(m.points) == {0, 2}
         assert m.total == pytest.approx(1.5)
-        assert m.mass(1) == 0.0
-
-    def test_empirical_aggregates(self):
-        m = empirical_law([3, 3, 5, 7])
-        assert m.mass(3) == pytest.approx(0.5)
-        assert m.total == pytest.approx(1.0)
-        assert len(m) == 3
+        assert m.as_dict() == {0: 1.0, 2: 0.5}
 
 
 class TestProhorov:
@@ -417,21 +409,3 @@ class TestReport:
         rep = gh_vague_report(t, m, [("x", m)], radii=[1.5], delta=0.5)
         want = lower_mass(t, m, 0.5, radius=1.5).value
         assert rep[0].m_delta == pytest.approx(want)
-
-
-class TestPolynomialBound:
-    def test_uniform_path(self):
-        t = path_tree([1.0, 1.0, 1.0])
-        m = SpeedMeasure([1.0, 1.0, 1.0, 1.0])
-        c = polynomial_lower_bound(t, m, deltas=[0.5], kappa=1.0)
-        assert c == pytest.approx(2.0)   # each open half-ball holds its center
-
-    def test_zero_when_ball_empty(self):
-        t = path_tree([1.0, 1.0])
-        m = SpeedMeasure([1.0, 0.0, 1.0])
-        assert polynomial_lower_bound(t, m, deltas=[0.5], kappa=1.0) == 0.0
-
-    def test_rejects_bad_delta(self):
-        t = path_tree([1.0])
-        with pytest.raises(MeasureError):
-            polynomial_lower_bound(t, SpeedMeasure([1.0, 1.0]), [0.0], 1.0)

@@ -200,7 +200,7 @@ class TestBatchedKernel:
 
     def test_sampled_four_point_witness_is_first_in_draw_order(self, rng):
         t = random_tree(rng, 40)
-        d = t.distance_matrix()
+        d = t.distance_block(np.arange(t.n), np.arange(t.n))
         d[1, 4] += 0.5
         d[4, 1] += 0.5
         rep = check_four_point(d, exhaustive_limit=10, samples=2000, seed=5)
@@ -265,7 +265,7 @@ class TestFourPoint:
 
     def test_perturbed_matrix_fails_with_witness(self, rng):
         t = random_tree(rng, 10)
-        d = t.distance_matrix()
+        d = t.distance_block(np.arange(t.n), np.arange(t.n))
         d[1, 4] += 0.5
         d[4, 1] += 0.5
         rep = check_four_point(d)
@@ -515,7 +515,6 @@ class TestClosureNetsProjection:
         assert proj.psi[1] == 0
         assert proj.pushforward[0] == 2.0
         assert proj.pushforward[2] == 1.0
-        assert not proj.branch_closed or True  # {0,2} on a path is closed
 
     def test_projection_tower(self, rng):
         # projecting through a finer subset first changes nothing

@@ -72,16 +72,16 @@ class TestBuildChain:
             for v, p, ell in t.edges():
                 want_vp = (1.0 / ell) / (2.0 * m[v])
                 want_pv = (1.0 / ell) / (2.0 * m[p])
-                assert chain.rate(v, p) == pytest.approx(want_vp, rel=1e-12)
-                assert chain.rate(p, v) == pytest.approx(want_pv, rel=1e-12)
+                assert chain.jump_rates(v)[p] == pytest.approx(want_vp, rel=1e-12)
+                assert chain.jump_rates(p)[v] == pytest.approx(want_pv, rel=1e-12)
 
     def test_detailed_balance(self, rng):
         t = random_tree(rng, 15)
         m = random_masses(rng, 15)
         chain = build_chain(t, m)
         for (u, v), c in conductance_pairs(chain).items():
-            lhs = m[u] * chain.rate(u, v)
-            rhs = m[v] * chain.rate(v, u)
+            lhs = m[u] * chain.jump_rates(u)[v]
+            rhs = m[v] * chain.jump_rates(v)[u]
             assert lhs == pytest.approx(rhs, rel=1e-12)
             assert lhs == pytest.approx(c / 2.0, rel=1e-12)
 
@@ -112,11 +112,11 @@ class TestBuildChain:
         t = build_tree({1: 0, 2: 1}, {1: 1.0, 2: 1.0}, root=0)
         chain = build_chain(t, SpeedMeasure([1.0, 1.0, 0.0]))
         with pytest.raises(ChainError, match="from vertex 7 is not a chain state"):
-            chain.rate(7, 9)
-        with pytest.raises(ChainError, match="to vertex 2 is not a chain state"):
-            chain.rate(0, 2)
+            chain.jump_rates(7)
         with pytest.raises(ChainError, match="from vertex 2 is not a chain state"):
             chain.jump_rates(2)
+        # a folded vertex is no neighbour of a state
+        assert set(chain.jump_rates(0)) == {1}
 
     def test_elimination_preserves_harmonic_absorption(self):
         # Absorption probabilities depend only on conductances, so the
