@@ -7,6 +7,11 @@ tolerances are the same 3-4 sigma bands the harness itself uses.
 import csv
 import dataclasses
 import json
+import math
+import multiprocessing
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -39,7 +44,7 @@ from treeflow.harness import (
 from treeflow.cli import main as cli_main
 from treeflow.measures import FiniteAtomMeasure
 from treeflow.tree import SpeedMeasure, build_tree
-from treeflow.walk import build_chain, lockstep_ensemble
+from treeflow.walk import ChainError, build_chain, lockstep_ensemble
 from conftest import path_tree
 
 SEED = 20240817
@@ -566,6 +571,115 @@ class TestRunners:
             art = run_experiment(cfg)
             rows.append(art.tables["coalescent"][0]["hit_mc"])
         assert rows[0] != rows[1]
+
+
+def _worker_pid(job):
+    return os.getpid(), job
+
+
+def _serial_entrance(master_seed, replicates, n_list):
+    """run_entrance_demo's records and rows, built depth by depth in this
+    process from the exact leg and one lockstep ensemble per depth."""
+    records, rows = [], []
+    for depth in n_list:
+        h = harness._instance_hash({"check": "entrance-demo", "depth": depth})
+        chain, solved, closed, exact_records = harness._entrance_exact(depth, h)
+        times = lockstep_ensemble(chain, 2 ** depth - 1, (chain.tree.root,),
+                                  harness._spawn(master_seed, 7, depth),
+                                  replicates).end_times
+        mc_mean = float(times.mean())
+        mc_se = float(times.std(ddof=1)) / math.sqrt(replicates)
+        records += exact_records + [_mc_record(
+            "entrance/mc-return", f"depth={depth}", h, mc_mean, solved, mc_se,
+            f"{master_seed}/7.{depth}")]
+        rows.append({"depth": depth, "states": chain.n_states, "exact": solved,
+                     "formula": closed, "bound": entrance_bound(depth),
+                     "mc_mean": mc_mean, "mc_se": mc_se})
+    return records, rows
+
+
+class TestEntranceWorkers:
+    """binary-entrance runs its depths in forked workers; nothing it returns
+    or writes may depend on that."""
+
+    @pytest.mark.parametrize("cores", ["all", "one"])
+    def test_records_and_rows_equal_a_serial_run(self, monkeypatch, cores):
+        if cores == "one":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        n_list = (4, 2, 5, 3)
+        art = harness.run_entrance_demo(tiny(
+            "binary-entrance", n_list=n_list, replicates=300))
+        records, rows = _serial_entrance(SEED, 300, n_list)
+        assert art.tables == {"entrance": rows}
+        assert art.records[:-1] == records
+        uniform = art.records[-1]
+        assert uniform.check_id == "entrance/depth-uniform"
+        assert uniform.statistic == max(row["exact"] for row in rows)
+
+    def test_fan_out_keeps_job_order_and_uses_one_worker_per_core(
+            self, monkeypatch):
+        jobs = [5, 1, 4, 2, 3]
+        done = harness._fan_out(_worker_pid, jobs)
+        assert [job for _, job in done] == jobs
+        assert os.getpid() not in {pid for pid, _ in done}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert len({pid for pid, _ in harness._fan_out(_worker_pid, jobs)}) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_crash_exits_three_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        def fails_at_depth_three(chain, *args, **kwargs):
+            if chain.tree.n == 15:
+                raise ChainError("no walk at depth 3")
+            return lockstep_ensemble(chain, *args, **kwargs)
+
+        # forked workers inherit the patched module global
+        monkeypatch.setattr(harness, "lockstep_ensemble", fails_at_depth_three)
+        path = TestCLI._config(tmp_path, "binary-entrance", n_list=[2, 3, 4],
+                               replicates=300, output_dir=str(tmp_path / "out"))
+        rc = cli_main(["binary-entrance", "--config", path])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert ("treeflow: binary-entrance crashed: ChainError: "
+                "no walk at depth 3") in err
+        assert not (tmp_path / "out").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_an_alarm_in_the_parent_ends_every_worker(self, tmp_path,
+                                                      monkeypatch):
+        class Alarm(BaseException):
+            pass
+
+        def hangs(*args, **kwargs):
+            (tmp_path / f"{os.getpid()}.pid").write_text("")
+            time.sleep(60)
+
+        workers = min(2, len(os.sched_getaffinity(0)))
+
+        def alarm(signum, frame):
+            # raise only once every worker is inside its ensemble
+            give_up = time.monotonic() + 30
+            while (len(list(tmp_path.glob("*.pid"))) < workers
+                   and time.monotonic() < give_up):
+                time.sleep(0.01)
+            raise Alarm()
+
+        monkeypatch.setattr(harness, "lockstep_ensemble", hangs)
+        previous = signal.signal(signal.SIGALRM, alarm)
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        try:
+            with pytest.raises(Alarm):
+                harness.run_entrance_demo(tiny(
+                    "binary-entrance", n_list=(2, 3), replicates=300))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        pids = [int(p.stem) for p in tmp_path.glob("*.pid")]
+        assert len(pids) == workers
+        assert multiprocessing.active_children() == []
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestCLI:
