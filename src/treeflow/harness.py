@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -379,12 +380,14 @@ def check_atom_law(master_seed: int, configurations: int = 10,
             abs(frac0 - law.zero_weight) <= 3.0 * sigma0,
             _seed_label(master_seed, 4, i, 1)))
         positive = occ[occ > 0.0]
-        # exponential branch: sd equals the mean
+        # exponential branch: sd equals the mean.  A run with no positive
+        # occupation measured nothing: its mean is taken as 0 and it fails
+        mean = float(positive.mean()) if len(positive) else 0.0
         se = law.exp_mean / math.sqrt(max(len(positive), 1))
-        err = abs(float(positive.mean()) - law.exp_mean)
+        err = abs(mean - law.exp_mean)
         records.append(CheckRecord(
             "atom-law/positive-mean", f"config[{i}] w={w} u={u} v={v}", h,
-            err, 3.0 * se, 3.0 * se, err <= 3.0 * se,
+            err, 3.0 * se, 3.0 * se, len(positive) > 0 and err <= 3.0 * se,
             _seed_label(master_seed, 4, i, 1)))
     return records
 
@@ -679,8 +682,18 @@ class RunArtifacts:
         return out
 
 
+def _call(job):
+    return job()
+
+
 def run_verify(config: ExperimentConfig) -> RunArtifacts:
-    """Replay the oracle checks on seeded instances and report pass/fail."""
+    """Replay the oracle checks on seeded instances and report pass/fail.
+
+    The three Monte Carlo checks run in forked workers (see _fan_out) while
+    this process runs the five exact ones.  Every check draws from its own
+    seed sequences and the records are joined in the order of the checks
+    below, so the output bytes do not depend on the number of cores.
+    """
     scale = float(config.family.get("scale", 1.0))
 
     def k(n):
@@ -688,18 +701,23 @@ def run_verify(config: ExperimentConfig) -> RunArtifacts:
 
     ms = config.master_seed
     reps = config.replicates
-    records = []
-    records += check_natural_scale(ms, instances=k(50),
-                                   replicates=min(reps, 4000))
-    records += check_atom_law(ms, configurations=k(10), replicates=reps)
-    records += check_one_sided_bounds(ms, configurations=k(20),
-                                      replicates=min(reps, 2500))
-    records += check_heat_kernel(ms, chains=k(50))
-    records += check_entrance()
-    records += check_discretization(ms, trees=k(10))
-    records += check_metric_oracles(ms, cases=k(30))
-    records += check_trace(ms, cases=k(30))
-    return RunArtifacts(records)
+    sampled = [
+        functools.partial(check_natural_scale, ms, instances=k(50),
+                          replicates=min(reps, 4000)),
+        functools.partial(check_atom_law, ms, configurations=k(10),
+                          replicates=reps),
+        functools.partial(check_one_sided_bounds, ms, configurations=k(20),
+                          replicates=min(reps, 2500)),
+    ]
+
+    def exact_checks():
+        return (check_heat_kernel(ms, chains=k(50)) + check_entrance()
+                + check_discretization(ms, trees=k(10))
+                + check_metric_oracles(ms, cases=k(30))
+                + check_trace(ms, cases=k(30)))
+
+    done, records = _fan_out(_call, sampled, meanwhile=exact_checks)
+    return RunArtifacts([rec for recs in done for rec in recs] + records)
 
 
 # -- convergence families ----------------------------------------------------
@@ -998,23 +1016,33 @@ def run_crt(config: ExperimentConfig) -> RunArtifacts:
                                   "spaces": _spaces_table(spaces)})
 
 
-def _fan_out(fn, jobs) -> list:
+def _fan_out(fn, jobs, meanwhile=None):
     """``[fn(job) for job in jobs]``, run in forked worker processes.
 
     One worker per usable core, at most one per job; each worker takes one
-    job at a time, so the jobs start in the order given.  An exception in a
-    worker is raised here.  Leaving the pool, normally or through any
-    exception (a KeyboardInterrupt or an alarm included), terminates and
-    joins every worker, so no process outlives the call.
+    job at a time, so the jobs start in the order given.  With ``meanwhile``
+    set, the workers get one core fewer (at least one) while this process
+    calls ``meanwhile()``, and the call returns ``(results, meanwhile())``.
+    An exception in a worker is raised here.  Leaving the pool, normally or
+    through any exception (a KeyboardInterrupt or an alarm included, in a
+    worker or in ``meanwhile``), terminates and joins every worker, so no
+    process outlives the call.
     """
     import multiprocessing
 
-    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    cores = len(os.sched_getaffinity(0))
+    if meanwhile is not None:
+        cores = max(1, cores - 1)
+    workers = min(len(jobs), cores)
     # fork, not spawn: a spawned worker would import numpy, scipy and
     # treeflow again (about 0.7 s on 2 cores), and the pool forks every
     # worker before it starts its own threads
     with multiprocessing.get_context("fork").Pool(workers) as pool:
-        return pool.map(fn, jobs, chunksize=1)
+        if meanwhile is None:
+            return pool.map(fn, jobs, chunksize=1)
+        pending = pool.map_async(fn, jobs, chunksize=1)
+        mine = meanwhile()
+        return pending.get(), mine
 
 
 def _entrance_depth(job):

@@ -254,6 +254,12 @@ def lockstep_ensemble(chain: WalkChain, start: int, stop_states, seed,
     ``(r, 0.0, start)`` and every jump taken before the end, at most one
     entry per replicate and sweep; the flag changes no draw.
 
+    The cost is about ``replicates`` times the expected number of jumps of
+    one walk, and the sweeps are as many as the slowest walk's jumps.  A
+    stiff chain makes both large: the expected jump count is formula (1)
+    with f the exit rate, about 1.9e5 on the n = 16 coalescent tree of
+    master seed 31717, whose slowest of 4000 walks passes SWEEP_CAP.
+
     Raises ChainError before sampling if ``start``, a stop state or ``occupy``
     is not a chain state, if there is no stop state and the horizon is None
     or infinite, if the horizon is NaN or negative, or if ``replicates`` is

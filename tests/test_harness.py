@@ -12,6 +12,7 @@ import multiprocessing
 import os
 import signal
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +360,26 @@ class TestVerifyChecks:
         recs = check_trace(SEED, cases=8)
         assert len(recs) == 8 and all(r.passed for r in recs)
 
+    def test_atom_law_without_positive_occupation_fails_finitely(
+            self, tmp_path):
+        # one replicate rarely visits u; an empty positive branch used to
+        # give a NaN mean, two RuntimeWarnings and a bare NaN in report.json
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            recs = check_atom_law(0, configurations=1, replicates=1)
+        assert all(math.isfinite(r.statistic) and math.isfinite(
+            r.bound_or_target) for r in recs)
+        (mean,) = [r for r in recs if r.check_id == "atom-law/positive-mean"]
+        assert not mean.passed
+        _write(tiny("verify", output_dir=str(tmp_path)), RunArtifacts(recs))
+
+        def no_constants(name):
+            raise ValueError(f"report.json holds {name}")
+
+        report = json.loads((tmp_path / "report.json").read_text(),
+                            parse_constant=no_constants)
+        assert report["all_passed"] is False
+
     def test_record_shape(self):
         recs = check_natural_scale(SEED, instances=2, replicates=500)
         for r in recs:
@@ -678,6 +699,116 @@ class TestEntranceWorkers:
         assert len(pids) == workers
         assert multiprocessing.active_children() == []
         for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
+def _serial_verify(config):
+    """run_verify's records, from its eight checks called in order in this
+    process."""
+    ms, reps = config.master_seed, config.replicates
+    scale = config.family["scale"]
+
+    def k(n):
+        return max(2, int(round(n * scale)))
+
+    return (check_natural_scale(ms, instances=k(50),
+                                replicates=min(reps, 4000))
+            + check_atom_law(ms, configurations=k(10), replicates=reps)
+            + check_one_sided_bounds(ms, configurations=k(20),
+                                     replicates=min(reps, 2500))
+            + check_heat_kernel(ms, chains=k(50)) + check_entrance()
+            + check_discretization(ms, trees=k(10))
+            + check_metric_oracles(ms, cases=k(30))
+            + check_trace(ms, cases=k(30)))
+
+
+class TestVerifyWorkers:
+    """verify runs its Monte Carlo checks in a forked worker while this
+    process runs the exact ones; nothing it returns or writes may depend on
+    that."""
+
+    CONFIG = tiny("verify", family={"scale": 0.1})
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return _serial_verify(self.CONFIG)
+
+    @pytest.mark.parametrize("cores", ["all", "one"])
+    def test_records_equal_a_serial_run(self, monkeypatch, serial, cores):
+        if cores == "one":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        art = harness.run_verify(self.CONFIG)
+        assert art.records == serial
+        assert multiprocessing.active_children() == []
+
+    def test_fan_out_leaves_the_parent_a_core(self, monkeypatch):
+        jobs = [5, 1, 4, 2, 3]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        done, mine = harness._fan_out(_worker_pid, jobs, meanwhile=os.getpid)
+        assert [job for _, job in done] == jobs
+        assert mine == os.getpid()
+        assert len({pid for pid, _ in done} | {mine}) == 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        done, mine = harness._fan_out(_worker_pid, jobs, meanwhile=os.getpid)
+        assert mine not in {pid for pid, _ in done}
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_crash_exits_three_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        parent = os.getpid()
+
+        def fails_in_a_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                raise ChainError("no walk in the worker")
+            return lockstep_ensemble(*args, **kwargs)
+
+        # forked workers inherit the patched module global
+        monkeypatch.setattr(harness, "lockstep_ensemble", fails_in_a_worker)
+        path = TestCLI._config(tmp_path, "verify", family={"scale": 0.1},
+                               output_dir=str(tmp_path / "out"))
+        rc = cli_main(["verify", "--config", path])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert ("treeflow: verify crashed: ChainError: "
+                "no walk in the worker") in err
+        assert not (tmp_path / "out").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_an_alarm_in_the_parent_ends_the_worker(self, tmp_path,
+                                                    monkeypatch):
+        class Alarm(BaseException):
+            pass
+
+        def hangs(*args, **kwargs):
+            (tmp_path / f"{os.getpid()}.pid").write_text("")
+            time.sleep(60)
+
+        def alarm(signum, frame):
+            # raise only once the worker is inside its ensemble
+            give_up = time.monotonic() + 30
+            while (not set(tmp_path.glob("*.pid"))
+                   - {tmp_path / f"{os.getpid()}.pid"}
+                   and time.monotonic() < give_up):
+                time.sleep(0.01)
+            raise Alarm()
+
+        # the worker hangs in its first ensemble, this process in its first
+        # exact check, so the alarm lands while both are busy
+        monkeypatch.setattr(harness, "lockstep_ensemble", hangs)
+        monkeypatch.setattr(harness, "check_heat_kernel", hangs)
+        previous = signal.signal(signal.SIGALRM, alarm)
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        try:
+            with pytest.raises(Alarm):
+                harness.run_verify(self.CONFIG)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        pids = [int(p.stem) for p in tmp_path.glob("*.pid")]
+        assert os.getpid() in pids and len(pids) == 2
+        assert multiprocessing.active_children() == []
+        for pid in set(pids) - {os.getpid()}:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 

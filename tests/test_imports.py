@@ -180,10 +180,10 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-# Runs in a fresh interpreter: parse every shipped config, then run tiny
-# configs through the CLI, reporting which heavy scipy subpackages, and
-# whether multiprocessing, are loaded after each step.  The last stdout line
-# is the JSON report.
+# Runs in a fresh interpreter: parse every shipped config, then run the tiny
+# configs named on the command line through the CLI, in order, reporting
+# which heavy scipy subpackages, and whether multiprocessing, are loaded
+# after each step.  The last stdout line is the JSON report.
 COLD_START = """
 import json, sys
 from pathlib import Path
@@ -203,8 +203,10 @@ tiny = {
     "coalescent": {"n_list": (4,), "replicates": 400},
     "kesten": {"n_list": (8,), "replicates": 40},
     "fdd": {"n_list": (2, 8, 32)},
+    "verify": {"family": {"scale": 0.06}, "replicates": 800},
 }
-for name, kw in tiny.items():
+for name in sys.argv[2:]:
+    kw = tiny[name]
     cfg = ExperimentConfig.default(name).replace(output_dir=str(tmp / name), **kw)
     path = tmp / f"{name}.json"
     path.write_text(cfg.to_json())
@@ -213,13 +215,19 @@ print(json.dumps(report))
 """
 
 
-def test_cold_start_loads_neither_scipy_stats_nor_optimize(tmp_path):
+def _cold_start(tmp_path, *experiments) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(tmp_path), *experiments],
+        env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cold_start_loads_neither_scipy_stats_nor_optimize(tmp_path):
+    report = _cold_start(tmp_path, "binary-entrance", "coalescent", "kesten",
+                         "fdd")
     assert report == {
         # multiprocessing (about 25 ms with its pool) stays out of set-up
         "parse": [],
@@ -232,6 +240,13 @@ def test_cold_start_loads_neither_scipy_stats_nor_optimize(tmp_path):
         # over three levels still needs no scipy.stats
         "fdd": [0, ["multiprocessing", "scipy.optimize"]],
     }
+
+
+def test_cold_start_of_verify(tmp_path):
+    # verify's worker pool loads multiprocessing, and the KR programs of its
+    # metric oracles, run in this process, load scipy.optimize
+    assert _cold_start(tmp_path, "verify") == {
+        "parse": [], "verify": [0, ["multiprocessing", "scipy.optimize"]]}
 
 
 def test_the_bench_entry_points_still_bind():
