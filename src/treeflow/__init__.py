@@ -81,8 +81,6 @@ from .families import (
     offspring_geometric,
     offspring_poisson,
     reflect_path,
-    stone_tq,
-    stone_vertex,
 )
 from .harness import (
     CheckRecord,

@@ -1,6 +1,6 @@
 """Tree families: excursion gluing, conditioned branching trees, size-biased
-trees from reflected walks, exponential binary trees, geometric two-ray trees,
-and exchangeable-coalescent genealogies with their speed measures.
+trees from reflected walks, exponential binary trees, and
+exchangeable-coalescent genealogies with their speed measures.
 
 Each generator is pure given its parameters and seed.
 """
@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tree import RootedMetricTree, SpeedMeasure, build_tree, length_measure
+from .tree import RootedMetricTree, SpeedMeasure, build_tree
 from .walk import rng_from
 
 GLUE_TOL = 1e-12
@@ -331,43 +331,6 @@ def binary_tree(depth: int):
     tree = build_tree(parents, {v: 1.0 for v in range(1, n)}, root=0)
     measure = SpeedMeasure(np.exp(-tree.height))
     return tree, measure
-
-
-def stone_tq(q: float, big_k: int):
-    """Two geometric rays {+-q^k : |k| <= K} joined at 0, rooted at 0.
-
-    Edge lengths telescope so that every vertex +-q^k sits at distance q^k
-    from the root; the speed measure is the length measure of the tree.
-    """
-    if q <= 1.0:
-        raise FamilyError("q must exceed 1")
-    if big_k < 0:
-        raise FamilyError("K must be nonnegative")
-    parents = {}
-    lengths = {}
-    m = 2 * big_k + 1
-    for side in (0, 1):
-        base = 1 + side * m
-        for i in range(m):
-            k = -big_k + i
-            v = base + i
-            if i == 0:
-                parents[v] = 0
-                lengths[v] = q ** (-big_k)
-            else:
-                parents[v] = v - 1
-                lengths[v] = q ** k - q ** (k - 1)
-    tree = build_tree(parents, lengths, root=0)
-    return tree, length_measure(tree)
-
-
-def stone_vertex(tree_n: int, big_k: int, k: int, negative: bool) -> int:
-    """Vertex id of +-q^k in a stone_tq tree."""
-    m = 2 * big_k + 1
-    i = k + big_k
-    if not 0 <= i < m:
-        raise FamilyError("k out of range")
-    return 1 + (m if negative else 0) + i
 
 
 # ------------------------------------------------------------- coalescents

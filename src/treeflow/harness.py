@@ -31,8 +31,6 @@ from .families import (
     coalescent_speed_measure,
     coalescent_tree,
     kesten_excursion,
-    stone_tq,
-    stone_vertex,
 )
 from .measures import (
     FiniteAtomMeasure,
@@ -113,8 +111,10 @@ _FAMILY_SCHEMA = {
                    "atoms": _atom_list},
     "fdd": {"mass_floor": _positive},
 }
-# experiments whose laws are taken at config.times
+# experiments whose laws are taken at config.times; the others read none
 _TIMED = ("stone", "crt", "kesten", "fdd")
+# experiments whose laws are all exact, so they draw no replicates
+_EXACT = ("stone", "crt", "fdd")
 
 
 class ConfigError(ValueError):
@@ -160,9 +160,16 @@ class ExperimentConfig:
         if not self.times and self.experiment in _TIMED:
             raise ConfigError(f"times: must be nonempty for experiment "
                               f"{self.experiment!r}")
+        if self.times and self.experiment not in _TIMED:
+            raise ConfigError(f"times: must be empty for experiment "
+                              f"{self.experiment!r}, which reads no times")
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         if _integer_from(1)(self.replicates):
             raise ConfigError("replicates: must be a positive integer")
+        if self.replicates != 1 and self.experiment in _EXACT:
+            raise ConfigError(f"replicates: must be 1 for experiment "
+                              f"{self.experiment!r}, whose laws are exact, "
+                              f"got {self.replicates!r}")
         if _integer_from(0)(self.master_seed) or self.master_seed >= 2 ** 64:
             raise ConfigError("master_seed: must be an integer in [0, 2^64)")
         if not isinstance(self.output_dir, str) or not self.output_dir:
@@ -299,10 +306,17 @@ def _tree_payload(tree: RootedMetricTree, measure: SpeedMeasure) -> dict:
     }
 
 
-def _segment_interior(tree: RootedMetricTree, a: int, b: int) -> list:
-    everyone = np.arange(tree.n)
-    inside = tree.on_segment(everyone, a, b) & (everyone != a) & (everyone != b)
-    return np.flatnonzero(inside).tolist()
+def _segment_instance(rng):
+    """A _random_instance, redrawn until its diameter segment a-b has an
+    interior vertex; returns (tree, measure, middle interior vertex, a, b)."""
+    while True:
+        tree, measure = _random_instance(rng)
+        a, b = _diameter_pair(tree)
+        everyone = np.arange(tree.n)
+        inside = np.flatnonzero(tree.on_segment(everyone, a, b)
+                                & (everyone != a) & (everyone != b))
+        if len(inside):
+            return tree, measure, int(inside[len(inside) // 2]), a, b
 
 
 def _diameter_pair(tree: RootedMetricTree):
@@ -320,14 +334,8 @@ def check_natural_scale(master_seed: int, instances: int = 50,
     """Linear hitting probabilities: closed form vs harmonic solve vs MC."""
     records = []
     for i in range(instances):
-        rng = rng_from(_spawn(master_seed, 3, i))
-        while True:
-            tree, measure = _random_instance(rng)
-            a, b = _diameter_pair(tree)
-            interior = _segment_interior(tree, a, b)
-            if interior:
-                break
-        x = interior[len(interior) // 2]
+        tree, measure, x, a, b = _segment_instance(
+            rng_from(_spawn(master_seed, 3, i)))
         payload = _tree_payload(tree, measure)
         payload.update(check="natural-scale", index=i, x=x, a=a, b=b)
         h = _instance_hash(payload)
@@ -356,14 +364,8 @@ def check_atom_law(master_seed: int, configurations: int = 10,
     """Zero-or-exponential passage law at an interior atom, against MC."""
     records = []
     for i in range(configurations):
-        rng = rng_from(_spawn(master_seed, 4, i))
-        while True:
-            tree, measure = _random_instance(rng)
-            u, v = _diameter_pair(tree)
-            interior = _segment_interior(tree, u, v)
-            if interior:
-                break
-        w = interior[len(interior) // 2]
+        tree, measure, w, u, v = _segment_instance(
+            rng_from(_spawn(master_seed, 4, i)))
         law = exact.atom_law(tree, measure, w, u, v)
         payload = _tree_payload(tree, measure)
         payload.update(check="atom-law", index=i, w=w, u=u, v=v)
@@ -727,90 +729,55 @@ STONE_SPAN = 2
 
 
 def stone_level(n: int):
-    """Geometric two-ray lattice with ratio 2^(1/n), embedded in the line.
+    """Stone's geometric two-ray lattice with ratio q = 2^(1/n), embedded in
+    the line, and its chain lumped over x -> -x.
 
-    Returns (tree, measure, positions): positions are the signed points
-    +-q^k and 0, and the measure is the midpoint rule for Lebesgue measure on
-    them, so the root carries mass and every vertex is a chain state.  The
-    lattice, masses and edge lengths are mirror symmetric about the root bit
-    for bit, so _stone_root_laws can take root laws on the lumped half
-    lattice.
+    Returns (tree, measure, half), all built from one ray's points
+    x_i = q^(i - K), i = 0..2K, K = STONE_SPAN * n.  The root 0 sits at the
+    origin, +x_i at vertex 1 + i and -x_i at vertex 2K + 2 + i, and each
+    edge is as long as the step between its ends.  The measure is the
+    midpoint rule for Lebesgue measure on the points, so every vertex is a
+    chain state.  ``half`` is the birth-death chain on the root and one ray,
+    each ray vertex x carrying m(x) + m(-x) and each edge half its length.
+    Both rays come from the same arrays, so they mirror each other bit for
+    bit and the root law is the lumped one split evenly (_stone_root_laws).
     """
     q = 2.0 ** (1.0 / n)
     big_k = STONE_SPAN * n
-    tree, _ = stone_tq(q, big_k)
-    pos = np.zeros(tree.n)
-    for k in range(-big_k, big_k + 1):
-        pos[stone_vertex(tree.n, big_k, k, False)] = q ** k
-        pos[stone_vertex(tree.n, big_k, k, True)] = -q ** k
-    order = np.argsort(pos)
-    sorted_pos = pos[order]
-    gaps = np.diff(sorted_pos)
-    masses = np.zeros(tree.n)
-    for j, v in enumerate(order):
-        left = gaps[j - 1] if j > 0 else 0.0
-        right = gaps[j] if j < len(gaps) else 0.0
-        masses[v] = 0.5 * (left + right)
-    return tree, SpeedMeasure(masses), pos
+    points = np.array([q ** k for k in range(-big_k, big_k + 1)])
+    step = np.diff(points, prepend=0.0)    # edge lengths along a ray
+    ray_mass = 0.5 * (step + np.append(step[1:], 0.0))
+    m = len(points)
+    up = np.arange(m)                      # parents along a ray, 0 the root
+    tree = build_tree(np.concatenate(([0], up, np.where(up > 0, up + m, 0))),
+                      np.concatenate(([0.0], step, step)), root=0)
+    measure = SpeedMeasure(np.concatenate((step[:1], ray_mass, ray_mass)))
+    half = build_chain(build_tree(np.concatenate(([0], up)),
+                                  np.concatenate(([0.0], step / 2.0)), root=0),
+                       SpeedMeasure(np.concatenate((step[:1], ray_mass + ray_mass))))
+    return tree, measure, half
 
 
-def _stone_root_laws(tree: RootedMetricTree, measure: SpeedMeasure, times,
-                     ids) -> list:
+def _stone_root_laws(half: WalkChain, times, ids) -> list:
     """Exact law at each time of the walk from the root of a stone_level
-    lattice, as measures with the atom of vertex v at ``ids[v]``.
-
-    The lattice, its masses and its edge lengths are symmetric under the
-    reflection x -> -x that swaps the two rays, so the law from the root is
-    even.  It is computed on the chain lumped over +-x, a path on the root
-    and one ray: the root keeps its mass, ray vertex x carries
-    m(x) + m(-x), and every ray edge has half its length, so twice its
-    conductance.  transition_laws on those 2K + 2 states instead of 4K + 3
-    takes about a quarter of the eigen time and memory, and each ray atom of
-    the lumped law is split evenly between +-x.  Raises ValueError unless
-    the rays mirror each other in layout, edge lengths and masses, bit for
-    bit.
-    """
-    masses = measure.masses
-    m = (tree.n - 1) // 2                  # vertices per ray
-    plus = np.arange(1, m + 1)
-    minus = plus + m
-    up = plus - 1                          # parents along the + ray
-    if (tree.n != 2 * m + 1 or tree.root != 0
-            or not np.array_equal(tree.parent[plus], up)
-            or not np.array_equal(tree.parent[minus], np.where(up > 0, up + m, 0))
-            or not np.array_equal(tree.edge_length[plus], tree.edge_length[minus])
-            or not np.array_equal(masses[plus], masses[minus])):
-        raise ValueError("stone lattice is not mirror symmetric about its "
-                         "root: the rays differ in layout, edge lengths or masses")
-    half_tree = build_tree(np.concatenate(([0], up)),
-                           np.concatenate(([0.0], tree.edge_length[plus] / 2.0)),
-                           root=0)
-    half = build_chain(half_tree, SpeedMeasure(
-        np.concatenate((masses[:1], masses[plus] + masses[minus]))))
+    lattice, from its lumped chain ``half`` (2K + 2 states, not 4K + 3), as
+    measures with the atom of vertex v at ``ids[v]``."""
     laws = []
+    # every vertex carries mass, so state i is vertex i; the law is even
     for law in exact.transition_laws(half, [0], times)[:, 0]:
-        lumped = np.zeros(m + 1)
-        lumped[half.states] = law
-        w = np.empty(tree.n)
-        w[0] = lumped[0]
-        w[plus] = w[minus] = lumped[1:] / 2.0
-        laws.append(FiniteAtomMeasure.from_dict(
-            {ids[v]: float(w[v]) for v in range(tree.n)}))
+        ray = law[1:] / 2.0
+        w = np.concatenate((law[:1], ray, ray))
+        laws.append(FiniteAtomMeasure.from_dict(dict(zip(ids, w.tolist()))))
     return laws
 
 
-def _stone_reference_ids(n: int, ref: int):
-    """Map level-n vertices onto the reference lattice (n must divide ref)."""
-    stride = ref // n
-    big_k, big_kr = STONE_SPAN * n, STONE_SPAN * ref
-    m = 4 * big_k + 3
-    ids = np.zeros(m, dtype=np.int64)
-    mr = 4 * big_kr + 3
-    for k in range(-big_k, big_k + 1):
-        for neg in (False, True):
-            ids[stone_vertex(m, big_k, k, neg)] = stone_vertex(
-                mr, big_kr, k * stride, neg)
-    return ids
+def _stone_reference_ids(n: int, ref: int) -> np.ndarray:
+    """Reference-lattice id of each level-n vertex (n must divide ref): the
+    point with index i on a level-n ray has index i * ref / n on the same
+    reference ray."""
+    m, m_ref = 2 * STONE_SPAN * n + 1, 2 * STONE_SPAN * ref + 1
+    ray, i = np.divmod(np.arange(2 * m), m)
+    return np.concatenate(([0], 1 + ray * m_ref + i * (ref // n)))
 
 
 def _root_laws(chain: WalkChain, times, ids) -> list:
@@ -887,23 +854,23 @@ def _law_distances(check_id, times, levels, ref_laws, dist, seed_label):
 def run_stone(config: ExperimentConfig) -> RunArtifacts:
     """Stone's geometric lattices at each n against a finer reference level.
 
-    Every root law, the reference's and each level's, comes from the chain
-    lumped over x -> -x (_stone_root_laws), a birth-death chain on half the
-    states.  The spaces rows compare each level's measure, pushed onto the
-    reference lattice, with the reference measure.
+    Every root law, the reference's and each level's, comes from the
+    lattice's chain lumped over x -> -x (stone_level, _stone_root_laws).  A
+    level's atoms and masses sit on their reference-lattice twins, and the
+    spaces rows compare its pushed measure with the reference measure.
     """
     ref_level = int(config.family.get("reference_level", 2 * max(config.n_list)))
     delta = 0.25                  # ball radius of the spaces rows' mass floor
     times = config.times
-    ref_tree, ref_measure, _ = stone_level(ref_level)
-    ref_laws = _stone_root_laws(ref_tree, ref_measure, times, range(ref_tree.n))
+    ref_tree, ref_measure, ref_half = stone_level(ref_level)
+    ref_laws = _stone_root_laws(ref_half, times, range(ref_tree.n))
     levels = []
     approximations = []
     for n in config.n_list:
-        tree, measure, _ = stone_level(n)
+        _, measure, half = stone_level(n)
         ids = _stone_reference_ids(n, ref_level)
         # atoms sit on their reference-lattice twins, so shared ones merge
-        laws = _stone_root_laws(tree, measure, times, ids.tolist())
+        laws = _stone_root_laws(half, times, ids.tolist())
         levels.append((n, laws, {"reference_level": ref_level}))
         pushed = np.zeros(ref_tree.n)
         np.add.at(pushed, ids, measure.masses)
@@ -949,7 +916,7 @@ def run_fdd(config: ExperimentConfig) -> RunArtifacts:
                  for b in range(tree.n)})
             joint_kr = kr_distance(joint, FiniteAtomMeasure(((0, 0),), (1.0,)),
                                    pair_dist)
-        m_delta = lower_mass(tree, measure, 0.5).value
+        m_delta = lower_mass(tree, measure, 0.5)
         flagged = m_delta < floor
         levels.append((n, laws, {"joint_kr": joint_kr, "m_delta": m_delta,
                                  "flagged": int(flagged)}))

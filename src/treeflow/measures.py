@@ -206,9 +206,10 @@ def prohorov(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist,
 
     Between consecutive pairwise distances the admissible pair set is
     constant, so the least feasible eps in a window is
-    max(window start, max(total) - flow).  The first window that contains
-    its own candidate yields the global minimum.  The predicate is monotone
-    in the window index; galloping up from the smallest window keeps every
+    max(window start, max(total) - flow).  Distances closer than FLOAT_SLACK
+    open a single window.  The first window that contains its own candidate
+    yields the global minimum.  The predicate is monotone in the window
+    index; galloping up from the smallest window keeps every
     probed flow graph about as sparse as the answer's own window, which is
     what makes near-aligned measures with large supports cheap.
 
@@ -235,6 +236,10 @@ def prohorov(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist,
             raise MeasureError("dists must be a len(mu) x len(nu) array")
     flat = dists.ravel()
     cuts = np.unique(np.concatenate(([0.0], flat)))
+    # distances within FLOAT_SLACK of each other are one window, started at
+    # the cluster's largest value: a narrower window never holds its own
+    # candidate, and the search needs solvable(k) monotone in k
+    cuts = cuts[np.append(np.diff(cuts) > FLOAT_SLACK, True)]
     mu_w = np.asarray(mu.weights, dtype=np.float64)
     nu_w = np.asarray(nu.weights, dtype=np.float64)
     if line is not None:
@@ -514,7 +519,7 @@ def gh_vague_report(tree: RootedMetricTree, limit_measure: SpeedMeasure,
                 hausdorff=_block_hausdorff(dmat),
                 prohorov=prohorov(got, target, dist, dists=dmat),
                 kr=kr_distance(got, target, dist),
-                m_delta=lower_mass(tree, approx, delta, radius=radius).value,
+                m_delta=lower_mass(tree, approx, delta, radius=radius),
                 flagged=flagged,
             ))
     return rows

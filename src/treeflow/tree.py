@@ -376,9 +376,9 @@ def build_tree(parents, edge_lengths, root: int) -> RootedMetricTree:
 class SpeedMeasure:
     """Nonnegative finite mass per vertex, aligned with a tree's vertex ids.
 
-    Strict positivity is not required here (the edge-length measure of a
-    one-vertex tree is the zero measure); operations that need at least two
-    positive atoms, such as chain construction, enforce it themselves.
+    Strict positivity is not required here (a massless vertex is folded out
+    of the chain); operations that need at least two positive atoms, such as
+    chain construction, enforce it themselves.
     """
 
     def __init__(self, masses):
@@ -438,28 +438,12 @@ class SpeedMeasure:
         return f"SpeedMeasure(n={len(self)}, total={self.total:.6g})"
 
 
-def length_measure(tree: RootedMetricTree) -> SpeedMeasure:
-    """Measure giving each non-root vertex the length of its parent edge.
-
-    Cumulative masses then telescope: the total mass on the vertices of the
-    half-open root segment (root, a] equals d(root, a).
-    """
-    return SpeedMeasure(tree.edge_length)
-
-
-@dataclass(frozen=True)
-class MassBoundReport:
-    delta: float
-    radius: Optional[float]
-    value: float  # +inf marks an empty center range
-
-
 def lower_mass(tree: RootedMetricTree, measure: SpeedMeasure, delta: float,
-               radius: Optional[float] = None) -> MassBoundReport:
+               radius: Optional[float] = None) -> float:
     """Infimum over centers of the measure of the closed delta-ball.
 
     With ``radius`` given, centers range over the open ball around the root;
-    an empty center range reports +inf.
+    an empty center range gives +inf.
     """
     if delta < 0:
         raise TreeError("delta must be nonnegative")
@@ -468,8 +452,7 @@ def lower_mass(tree: RootedMetricTree, measure: SpeedMeasure, delta: float,
     else:
         centers = np.flatnonzero(tree.height < radius - FLOAT_SLACK)
     masses = measure.ball_masses(tree, centers, delta, closed=True)
-    best = float(masses.min()) if len(masses) else math.inf
-    return MassBoundReport(delta=float(delta), radius=radius, value=best)
+    return float(masses.min()) if len(masses) else math.inf
 
 
 def epsilon_degree(tree: RootedMetricTree, x: int, eps: float) -> int:

@@ -23,10 +23,8 @@ from treeflow.families import (
     offspring_geometric,
     offspring_poisson,
     reflect_path,
-    stone_tq,
-    stone_vertex,
 )
-from treeflow.tree import check_four_point, length_measure
+from treeflow.tree import check_four_point
 from treeflow.walk import build_chain
 
 
@@ -242,35 +240,6 @@ class TestFixedFamilies:
             binary_tree(0)
         with pytest.raises(FamilyError):
             binary_tree(21)
-
-    def test_stone_minimal(self):
-        tree, measure = stone_tq(2.0, 0)
-        assert tree.n == 3
-        assert tree.root == 0
-        np.testing.assert_allclose(measure.masses, [0.0, 1.0, 1.0])
-        assert tree.distance(1, 2) == pytest.approx(2.0)
-
-    def test_stone_positions(self):
-        q, big_k = 2.0, 2
-        tree, measure = stone_tq(q, big_k)
-        assert tree.n == 4 * big_k + 3
-        for k in range(-big_k, big_k + 1):
-            for neg in (False, True):
-                v = stone_vertex(tree.n, big_k, k, neg)
-                assert tree.height[v] == pytest.approx(q ** k, rel=1e-12)
-        lo = stone_vertex(tree.n, big_k, big_k, True)
-        hi = stone_vertex(tree.n, big_k, big_k, False)
-        assert tree.distance(lo, hi) == pytest.approx(2 * q ** big_k, rel=1e-12)
-        np.testing.assert_allclose(measure.masses,
-                                   length_measure(tree).masses)
-
-    def test_stone_bad_args(self):
-        with pytest.raises(FamilyError):
-            stone_tq(1.0, 2)
-        with pytest.raises(FamilyError):
-            stone_tq(2.0, -1)
-        with pytest.raises(FamilyError):
-            stone_vertex(11, 2, 3, False)
 
 
 class TestCoalescent:

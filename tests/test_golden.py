@@ -4,6 +4,9 @@ Each shipped config runs at its shipped sizes and seed into a temporary
 directory (kesten with its sampled paths dumped) and every file it writes is
 digested.  The digests must equal those in ``golden.json``, file for file,
 so any change to an output's bytes, or to the set of files, fails here.
+The quick runs, crt, kesten and coalescent, are pinned at a second master
+seed as well, so a change that moves a random stream or a float path only
+away from the shipped seed fails too.
 
 eigh and HiGHS bits depend on the numpy and scipy builds, so when the
 Python, numpy or scipy version differs from the one that produced the
@@ -31,6 +34,9 @@ from treeflow.harness import EXPERIMENTS, ExperimentConfig, run_experiment  # no
 
 GOLDEN = Path(__file__).resolve().with_name("golden.json")
 SEED = 20240817
+# the seed of the CI smoke runs, and the runs that take under a second there
+SECOND_SEED = 7
+AT_SECOND_SEED = ("crt", "kesten", "coalescent")
 
 
 def versions() -> dict:
@@ -38,23 +44,35 @@ def versions() -> dict:
             "numpy": numpy.__version__, "scipy": scipy.__version__}
 
 
-def digests(experiment: str, out: Path) -> dict:
-    """Run one shipped experiment into ``out``; sha256 of each file it wrote,
-    keyed by its path below ``out``."""
+def digests(experiment: str, out: Path, seed: int = SEED) -> dict:
+    """Run one shipped experiment at ``seed`` into ``out``; sha256 of each
+    file it wrote, keyed by its path below ``out``."""
     config = ExperimentConfig.default(experiment).replace(
-        master_seed=SEED, output_dir=str(out))
+        master_seed=seed, output_dir=str(out))
     run_experiment(config, dump_paths=experiment == "kesten")
     return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.rglob("*")) if p.is_file()}
 
 
+def golden() -> dict:
+    table = json.loads(GOLDEN.read_text())
+    if table["versions"] != versions():
+        pytest.skip(f"golden digests come from {table['versions']}, "
+                    f"this run has {versions()}")
+    return table
+
+
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_outputs_match_golden_digests(experiment, tmp_path):
-    golden = json.loads(GOLDEN.read_text())
-    if golden["versions"] != versions():
-        pytest.skip(f"golden digests come from {golden['versions']}, "
-                    f"this run has {versions()}")
-    assert digests(experiment, tmp_path / experiment) == golden["digests"][experiment]
+    assert digests(experiment, tmp_path / experiment) == golden()["digests"][experiment]
+
+
+@pytest.mark.parametrize("experiment", AT_SECOND_SEED)
+def test_outputs_match_golden_digests_at_second_seed(experiment, tmp_path):
+    want = golden()["second_seed"]
+    assert want["seed"] == SECOND_SEED
+    assert digests(experiment, tmp_path / experiment,
+                   SECOND_SEED) == want["digests"][experiment]
 
 
 if __name__ == "__main__":
@@ -62,6 +80,11 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         table = {e: digests(e, Path(tmp) / e) for e in EXPERIMENTS}
-    GOLDEN.write_text(json.dumps({"versions": versions(), "digests": table},
-                                 indent=2, sort_keys=True) + "\n")
-    print(f"wrote {sum(map(len, table.values()))} digests to {GOLDEN}")
+        second = {e: digests(e, Path(tmp) / f"{e}-{SECOND_SEED}", SECOND_SEED)
+                  for e in AT_SECOND_SEED}
+    GOLDEN.write_text(json.dumps(
+        {"versions": versions(), "digests": table,
+         "second_seed": {"seed": SECOND_SEED, "digests": second}},
+        indent=2, sort_keys=True) + "\n")
+    count = sum(map(len, [*table.values(), *second.values()]))
+    print(f"wrote {count} digests to {GOLDEN}")

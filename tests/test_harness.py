@@ -44,7 +44,7 @@ from treeflow.harness import (
 )
 from treeflow.cli import main as cli_main
 from treeflow.measures import FiniteAtomMeasure
-from treeflow.tree import SpeedMeasure, build_tree
+from treeflow.tree import SpeedMeasure
 from treeflow.walk import ChainError, build_chain, lockstep_ensemble
 from conftest import path_tree
 
@@ -107,6 +107,21 @@ class TestConfig:
             tiny("stone").replace(times=(0.5, 0.5))
         with pytest.raises(ConfigError, match="times"):
             tiny("stone").replace(times=(-1.0,))
+
+    @pytest.mark.parametrize("experiment", ["verify", "binary-entrance",
+                                            "coalescent"])
+    def test_times_rejected_where_no_run_reads_them(self, experiment):
+        with pytest.raises(ConfigError, match=r"^times: must be empty for "
+                           f"experiment '{experiment}'"):
+            tiny(experiment).replace(times=(0.5,))
+
+    @pytest.mark.parametrize("experiment", ["stone", "crt", "fdd"])
+    @pytest.mark.parametrize("replicates", [2, 400])
+    def test_replicates_rejected_where_laws_are_exact(self, experiment,
+                                                      replicates):
+        with pytest.raises(ConfigError, match=r"^replicates: must be 1 for "
+                           f"experiment '{experiment}'.*got {replicates}$"):
+            tiny(experiment).replace(replicates=replicates)
 
     def test_scalar_field_validation(self):
         with pytest.raises(ConfigError, match="replicates"):
@@ -178,51 +193,55 @@ class TestRecords:
         assert not _mc_record("x/mc", "i", "h", 1.0, 3.0 + 1e-12, 0.5, "s").passed
 
 
+def stone_points(tree):
+    """Signed point of each stone_level vertex: the root at 0, then the +
+    ray, then the - ray, each ray ordered by height."""
+    m = (tree.n - 1) // 2
+    return tree.height * np.concatenate(([1.0], np.ones(m), -np.ones(m)))
+
+
 class TestStoneLumping:
     @pytest.mark.parametrize("n", [8, 32, 128, 256])
     def test_lumped_laws_match_the_unfolded_engine(self, n):
         times = (0.25, 1.0)
-        tree, measure, pos = stone_level(n)
-        lumped = _stone_root_laws(tree, measure, times, range(tree.n))
+        tree, measure, half = stone_level(n)
+        lumped = _stone_root_laws(half, times, range(tree.n))
         unfolded = exact.transition_laws(build_chain(tree, measure), [tree.root],
                                          times)[:, 0]
-        mirror = {v: int(np.flatnonzero(pos == -pos[v])[0]) for v in range(tree.n)}
+        m = (tree.n - 1) // 2
+        mirror = np.concatenate(([0], np.arange(m) + m + 1, np.arange(m) + 1))
+        pos = stone_points(tree)
+        assert np.array_equal(pos[mirror], -pos)
         for law, want in zip(lumped, unfolded):
             got = dict(zip(law.points, law.weights))
             assert sorted(got) == list(range(tree.n))
             w = np.array([got[v] for v in range(tree.n)])
             assert np.abs(w - want).max() <= 1e-12
             assert abs(w.sum() - 1.0) <= 1e-12
-            assert all(got[v] == got[mirror[v]] for v in range(tree.n))
+            assert np.array_equal(w[mirror], w)
 
     def test_ids_place_the_atoms(self):
-        tree, measure, _ = stone_level(2)
+        tree, _, half = stone_level(2)
         ids = [10 * v for v in range(tree.n)]
-        plain = _stone_root_laws(tree, measure, (0.5,), range(tree.n))[0]
-        moved = _stone_root_laws(tree, measure, (0.5,), ids)[0]
+        plain = _stone_root_laws(half, (0.5,), range(tree.n))[0]
+        moved = _stone_root_laws(half, (0.5,), ids)[0]
         assert moved.points == tuple(10 * v for v in plain.points)
         assert moved.weights == plain.weights
 
-    def test_asymmetric_lattice_is_rejected(self):
-        tree, measure, _ = stone_level(4)
-        last = tree.n - 1                      # outermost vertex of the - ray
-        masses = measure.masses.copy()
-        masses[last] *= 1.0 + 1e-15
-        with pytest.raises(ValueError, match="not mirror symmetric"):
-            _stone_root_laws(tree, SpeedMeasure(masses), (1.0,), range(tree.n))
-        lengths = tree.edge_length.copy()
-        lengths[last] = np.nextafter(lengths[last], np.inf)
-        bent = build_tree(tree.parent, lengths, root=0)
-        with pytest.raises(ValueError, match="not mirror symmetric"):
-            _stone_root_laws(bent, measure, (1.0,), range(tree.n))
-        # unit paths through the root: two vertices on each side pass, three
-        # on one side and one on the other do not
-        unit = SpeedMeasure([1.0] * 5)
-        even = build_tree([0, 0, 1, 0, 3], [0.0] + [1.0] * 4, root=0)
-        assert len(_stone_root_laws(even, unit, (1.0,), range(5))) == 1
-        lopsided = build_tree([0, 0, 1, 2, 0], [0.0] + [1.0] * 4, root=0)
-        with pytest.raises(ValueError, match="not mirror symmetric"):
-            _stone_root_laws(lopsided, unit, (1.0,), range(5))
+    def test_heights_are_powers_of_q(self):
+        for n in (1, 2, 8):
+            tree, _, half = stone_level(n)
+            q, big_k = 2.0 ** (1.0 / n), harness.STONE_SPAN * n
+            m = 2 * big_k + 1
+            assert tree.n == 2 * m + 1 and tree.root == 0
+            ray = np.array([q ** k for k in range(-big_k, big_k + 1)])
+            assert np.allclose(tree.height, np.concatenate(([0.0], ray, ray)),
+                               rtol=1e-12, atol=0.0)
+            # the two outermost points, one on each ray
+            assert tree.distance(m, 2 * m) == pytest.approx(2 * q ** big_k,
+                                                            rel=1e-12)
+            # the lumped chain is one ray at half the lengths
+            assert np.array_equal(half.tree.height * 2.0, tree.height[:m + 1])
 
 
 class TestTrend:
@@ -429,14 +448,28 @@ class TestRunners:
             tiny("stone", family={}, n_list=(3, 4), output_dir=str(tmp_path / "s"))
 
     def test_stone_level_measure_is_midpoint_rule(self):
-        tree, measure, pos = stone_level(2)
+        tree, measure, half = stone_level(2)
+        pos = stone_points(tree)
         order = np.argsort(pos)
-        total = pos[order][-1] - pos[order][0]
-        assert measure.masses.sum() == pytest.approx(total, rel=1e-12)
+        gaps = np.diff(pos[order])
+        want = np.empty(tree.n)
+        want[order] = 0.5 * (np.append(gaps, 0.0) + np.append(0.0, gaps))
+        assert np.allclose(measure.masses, want, rtol=1e-12, atol=0.0)
+        assert measure.masses.sum() == pytest.approx(pos.max() - pos.min(), rel=1e-12)
         assert measure.masses.min() > 0
-        ids = _stone_reference_ids(2, 8)
-        _, _, ref_pos = stone_level(8)
-        assert np.allclose(ref_pos[ids], pos, atol=1e-12)
+        # the lumped chain carries m(0) at the root and m(x) + m(-x) on its ray
+        m = (tree.n - 1) // 2
+        assert np.array_equal(half.mass, np.concatenate(
+            (measure.masses[:1], measure.masses[1:m + 1] + measure.masses[m + 1:])))
+
+    @pytest.mark.parametrize("n, ref", [(2, 8), (4, 4), (8, 256)])
+    def test_reference_ids_land_on_their_twins(self, n, ref):
+        tree, _, _ = stone_level(n)
+        ref_tree, _, _ = stone_level(ref)
+        ids = _stone_reference_ids(n, ref)
+        assert ids.shape == (tree.n,) and len(set(ids.tolist())) == tree.n
+        assert np.allclose(stone_points(ref_tree)[ids], stone_points(tree),
+                           rtol=1e-12, atol=0.0)
 
     def test_fdd_small(self, tmp_path):
         cfg = tiny("fdd", n_list=(2, 8, 32), output_dir=str(tmp_path / "f"))
@@ -461,6 +494,16 @@ class TestRunners:
         assert (tmp_path / "c" / "distances.csv").exists()
         for row in art.tables["distances"]:
             assert row["states"] > 0 and row["kr"] >= 0
+
+    def test_shipped_crt_prohorov_falls_in_n(self, tmp_path):
+        art = run_experiment(ExperimentConfig.default("crt").replace(
+            output_dir=str(tmp_path / "c")))
+        by_radius = {}
+        for row in art.tables["spaces"]:
+            by_radius.setdefault(row["radius"], []).append(row["prohorov"])
+        assert len(by_radius) == 2
+        for vals in by_radius.values():
+            assert all(b < a for a, b in zip(vals, vals[1:])), vals
 
     def test_crt_with_512_knots_finishes(self, tmp_path):
         # the heat-kernel series used to stall below 1 - 1e-12 at level n=8
@@ -901,6 +944,16 @@ class TestCLI:
         ("crt", {"times": []}, "times: must be nonempty for experiment 'crt'"),
         ("fdd", {"times": []}, "times: must be nonempty for experiment 'fdd'"),
         ("kesten", {"times": []}, "times: must be nonempty for experiment 'kesten'"),
+        # values a run would ignore
+        ("verify", {"times": [0.5]}, "times: must be empty for experiment 'verify'"),
+        ("coalescent", {"times": [0.5]},
+         "times: must be empty for experiment 'coalescent'"),
+        ("binary-entrance", {"times": [0.5]},
+         "times: must be empty for experiment 'binary-entrance'"),
+        ("stone", {"replicates": 4000},
+         "replicates: must be 1 for experiment 'stone'"),
+        ("crt", {"replicates": 2}, "replicates: must be 1 for experiment 'crt'"),
+        ("fdd", {"replicates": 10}, "replicates: must be 1 for experiment 'fdd'"),
     ])
     def test_bad_size_exits_two_before_writing(self, tmp_path, capsys,
                                                experiment, overrides, key):

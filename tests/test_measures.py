@@ -89,6 +89,36 @@ def split_support(rng, pts):
     return mu, nu
 
 
+def jittered_line(rng, size):
+    """Points on a coarse lattice, each moved by -1e-16, 0 or +1e-16, so
+    that many pairwise distances tie up to rounding."""
+    base = rng.integers(0, 3, size=size) * 0.1 * rng.integers(1, 4)
+    return base + rng.integers(-1, 2, size=size) * 1e-16
+
+
+def prohorov_by_bisection(mu, nu, dist):
+    """Least eps at which max(total) - flow <= eps, where the flow runs on
+    the pairs within eps + FLOAT_SLACK of each other; both sides of the test
+    move monotonically in eps, so a plain bisection finds it.  An oracle for
+    supports too large for prohorov_bruteforce."""
+    d = np.array([[dist(p, q) for q in nu.points] for p in mu.points])
+    top = max(mu.total, nu.total)
+
+    def ok(eps):
+        ii, jj = np.nonzero(d <= eps + measures.FLOAT_SLACK)
+        flow = measures._dinic_flow(len(mu), len(nu), mu.weights, nu.weights,
+                                    ii, jj)
+        return top - flow <= eps
+
+    lo, hi = 0.0, max(top, float(d.max()))
+    if ok(lo):
+        return lo
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return hi
+
+
 class TestFiniteAtomMeasure:
     def test_validation(self):
         with pytest.raises(MeasureError):
@@ -187,6 +217,62 @@ class TestProhorov:
             fast = prohorov(mu, nu, tree_metric(path))
             slow = prohorov_bruteforce(mu, nu, lambda p, q: path.distance(p, q))
             assert fast == pytest.approx(slow, abs=1e-8)
+
+    def test_near_tied_distances_match_bruteforce(self, rng):
+        # windows used to open at every distinct float distance, and two
+        # within FLOAT_SLACK of each other broke the monotone search
+        for _ in range(100):
+            pts = jittered_line(rng, 10)
+            na, nb = rng.integers(1, 6, size=2)
+            mu, nu = (FiniteAtomMeasure.from_dict(
+                {float(pts[i]): rng.uniform(0.1, 1.0)
+                 for i in rng.choice(10, size=k, replace=False)})
+                for k in (na, nb))
+            assert prohorov(mu, nu, line_dist) == pytest.approx(
+                prohorov_bruteforce(mu, nu, line_dist), abs=1e-9)
+            xs = np.unique(pts)
+            if len(xs) < 2:
+                continue
+            path = line_tree(xs, int(rng.integers(0, len(xs))))
+            mu, nu = (FiniteAtomMeasure(
+                tuple(int(v) for v in rng.choice(len(xs), size=k, replace=False)),
+                tuple(rng.uniform(0.1, 1.0, size=k)))
+                for k in (min(na, len(xs)), min(nb, len(xs))))
+            want = prohorov_bruteforce(mu, nu, lambda p, q: path.distance(p, q))
+            # the path sweep, then the generic flow on the same distances
+            assert prohorov(mu, nu, tree_metric(path)) == pytest.approx(want, abs=1e-9)
+            assert prohorov(mu, nu, lambda p, q: path.distance(p, q)) == pytest.approx(
+                want, abs=1e-9)
+
+    def test_bisection_oracle_matches_bruteforce(self, rng):
+        for _ in range(20):
+            pts = jittered_line(rng, 10)
+            mu, nu = (FiniteAtomMeasure.from_dict(
+                {float(pts[i]): rng.uniform(0.1, 1.0)
+                 for i in rng.choice(10, size=4, replace=False)})
+                for _ in range(2))
+            assert prohorov_by_bisection(mu, nu, line_dist) == pytest.approx(
+                prohorov_bruteforce(mu, nu, line_dist), abs=1e-9)
+
+    @pytest.mark.parametrize("path", [False, True])
+    def test_near_tied_distances_match_bisection_on_large_supports(self, rng, path):
+        # edge lengths on a lattice make h[x] + h[y] - 2 h[lca] tie up to
+        # rounding; 20 to 40 atoms a side is beyond the brute force
+        for _ in range(6):
+            n = 60
+            if path:
+                xs = np.cumsum(0.1 * rng.integers(1, 4, size=n))
+                t = line_tree(xs, int(rng.integers(0, n)))
+            else:
+                t = build_tree({v: int(rng.integers(0, v)) for v in range(1, n)},
+                               {v: 0.1 * float(rng.integers(1, 4))
+                                for v in range(1, n)}, root=0)
+            mu, nu = (FiniteAtomMeasure(
+                tuple(int(v) for v in rng.choice(n, size=k, replace=False)),
+                tuple(rng.uniform(0.1, 1.0, size=k)))
+                for k in rng.integers(20, 41, size=2))
+            want = prohorov_by_bisection(mu, nu, lambda p, q: t.distance(p, q))
+            assert prohorov(mu, nu, tree_metric(t)) == pytest.approx(want, abs=1e-9)
 
     @pytest.mark.parametrize("parents, is_path", [
         ({1: 0, 2: 1, 3: 2}, True),            # rooted at an end
@@ -407,5 +493,5 @@ class TestReport:
         t = path_tree([1.0, 1.0])
         m = SpeedMeasure([0.5, 0.25, 0.25])
         rep = gh_vague_report(t, m, [("x", m)], radii=[1.5], delta=0.5)
-        want = lower_mass(t, m, 0.5, radius=1.5).value
+        want = lower_mass(t, m, 0.5, radius=1.5)
         assert rep[0].m_delta == pytest.approx(want)

@@ -15,7 +15,6 @@ from treeflow.tree import (
     discretize,
     epsilon_degree,
     epsilon_net,
-    length_measure,
     load_tree,
     lower_mass,
     project_psi,
@@ -175,7 +174,7 @@ class TestBatchedKernel:
                     ball = float(m.masses[t.distances_from(x) <= delta + FLOAT_SLACK].sum())
                     assert m.ball_mass(t, x, delta) == ball
                     best = min(best, ball)
-                assert lower_mass(t, m, delta, radius=radius).value == best
+                assert lower_mass(t, m, delta, radius=radius) == best
 
     def test_branch_closure_matches_pairwise_meets(self, rng):
         for _ in range(8):
@@ -283,27 +282,6 @@ class TestFourPoint:
         assert rep.ok and not rep.exhaustive and rep.checked == 2000
 
 
-class TestLengthMeasure:
-    def test_single_vertex_zero(self):
-        t = build_tree({}, {}, 0)
-        m = length_measure(t)
-        assert m.total == 0.0
-
-    def test_path_atoms(self):
-        t = path_tree([1.0, 1.0])
-        m = length_measure(t)
-        assert list(m.masses) == [0.0, 1.0, 1.0]
-
-    def test_telescoping(self, rng):
-        for _ in range(5):
-            t = random_tree(rng, 12)
-            m = length_measure(t)
-            for a in range(t.n):
-                seg = [v for v in t.ancestors(a) if v != t.root]
-                total = sum(m[v] for v in seg)
-                assert total == pytest.approx(t.distance(t.root, a), rel=1e-12, abs=1e-12)
-
-
 def literal_epsilon_degree(t, x, eps):
     """epsilon_degree's definition as a direct triple loop over v, u and w."""
     count = 0
@@ -376,31 +354,30 @@ class TestLowerMass:
     def test_uniform_floor(self, rng):
         t = random_tree(rng, 10)
         m = SpeedMeasure(np.ones(t.n))
-        assert lower_mass(t, m, 0.25).value >= 1.0
+        assert lower_mass(t, m, 0.25) >= 1.0
 
     def test_binary_exponential(self):
         t = binary_tree_plain(3)
         m = SpeedMeasure(np.exp(-t.height))
-        rep = lower_mass(t, m, 0.5, radius=3.0)
         # deepest admissible centers sit at height 2; their half-ball is just themselves
-        assert rep.value == pytest.approx(math.exp(-2.0), rel=1e-12)
+        assert lower_mass(t, m, 0.5, radius=3.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_two_point(self):
         n = 8
         t = path_tree([1.0])
         m = SpeedMeasure([1.0, 1.0 / n])
-        assert lower_mass(t, m, 0.5).value == pytest.approx(1.0 / n, rel=1e-12)
+        assert lower_mass(t, m, 0.5) == pytest.approx(1.0 / n, rel=1e-12)
 
     def test_monotone_in_delta(self, rng):
         t = random_tree(rng, 12)
         m = random_masses(rng, t.n)
-        vals = [lower_mass(t, m, d).value for d in (0.1, 0.4, 0.8, 1.6)]
+        vals = [lower_mass(t, m, d) for d in (0.1, 0.4, 0.8, 1.6)]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_empty_center_range(self, rng):
         t = path_tree([1.0])
         m = SpeedMeasure([1.0, 1.0])
-        assert lower_mass(t, m, 0.5, radius=0.0).value == math.inf
+        assert lower_mass(t, m, 0.5, radius=0.0) == math.inf
 
 
 class TestRestrict:
