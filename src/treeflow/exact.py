@@ -91,7 +91,7 @@ def hitting_prob(tree: RootedMetricTree, x: int, a: int, b: int) -> float:
     """
     if a == b:
         raise OracleError("a and b must differ")
-    if not tree.on_segment(x, a, b, tol=1e-9):
+    if not tree.on_segment(x, a, b):
         raise OracleError(f"vertex {x} is not on the segment [{a}, {b}]")
     return tree.distance(x, b) / tree.distance(a, b)
 
@@ -174,7 +174,7 @@ def atom_law(tree: RootedMetricTree, measure: SpeedMeasure,
     natural-scale probability; the exponential branch is the total holding
     time at the atom, whose mean is the occupation kernel at u.
     """
-    if not tree.on_segment(w, u, v, tol=1e-9):
+    if not tree.on_segment(w, u, v):
         raise OracleError(f"vertex {w} is not on the segment [{u}, {v}]")
     mu = measure[u]
     if mu <= 0:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -44,8 +43,8 @@ class Excursion:
             raise FamilyError("samples must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0):
             raise FamilyError("heights must be finite and nonnegative")
-        if self.step <= 0:
-            raise FamilyError("step must be positive")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise FamilyError(f"step must be finite and positive, got {self.step!r}")
         if not 0 <= self.origin < arr.size:
             raise FamilyError("origin index out of range")
         if arr[self.origin] != 0.0:
@@ -92,15 +91,19 @@ class GluedTree:
 def glue_excursion(exc: Excursion) -> GluedTree:
     """Quotient the abscissae by zero pseudo-distance and build the tree.
 
-    One outward sweep per side maintains a stack of open levels: a knot
-    joins the class on top of the stack when their heights agree within
-    tolerance and nothing lower intervened, and otherwise opens a new class
-    whose parent is the class directly below.  The frames that survive a
-    sweep are exactly the knots whose outward window never dips below them,
-    which for two-sided excursions are the points the complement rule can
-    identify across sides; survivors of equal height are merged and the
-    merged spine is re-parented by height.  Every knot then deposits one
-    step of mass on its class.
+    The knots are swept once in cyclic order from the origin: ``o..n-1``,
+    then ``0..o-1``.  In that order the window between a right knot and a
+    left knot is exactly the sampled complement that the opposite-sign rule
+    takes its infimum over, so a two-sided excursion glues as the one-sided
+    excursion of its rotation.  A stack holds the open levels: a knot joins
+    the class on top when their heights agree within tolerance, and
+    otherwise opens a new class whose parent is the class below.  When a
+    knot pops levels and then opens a class, that class lies between the
+    last class popped and its old parent, so it becomes the parent of the
+    last class popped (the Cartesian-tree step; it never fires on
+    skip-free walks).  Vertex ids order the classes by height, then by the
+    first knot met walking outward from the origin, right side first.
+    Every knot deposits one step of mass on its class.
     """
     s = exc.samples
     n = exc.n
@@ -108,69 +111,41 @@ def glue_excursion(exc: Excursion) -> GluedTree:
     heights: list[float] = []
     parent: list[int] = []
     knot_class = np.empty(n, dtype=np.int64)
+    stack: list[tuple[float, int]] = []
+    for k in np.r_[o:n, 0:o]:
+        v = float(s[k])
+        popped = -1
+        while stack and stack[-1][0] > v + GLUE_TOL:
+            popped = stack.pop()[1]
+        if stack and abs(stack[-1][0] - v) <= GLUE_TOL:
+            cid = stack[-1][1]
+        else:
+            cid = len(heights)
+            heights.append(v)
+            parent.append(stack[-1][1] if stack else -1)
+            if popped >= 0:
+                parent[popped] = cid
+            stack.append((v, cid))
+        knot_class[k] = cid
 
-    def sweep(indices, seeded_root: Optional[int]):
-        stack: list[tuple[float, int]] = []
-        if seeded_root is not None:
-            stack.append((0.0, seeded_root))
-        for k in indices:
-            v = float(s[k])
-            while stack and stack[-1][0] > v + GLUE_TOL:
-                stack.pop()
-            if stack and abs(stack[-1][0] - v) <= GLUE_TOL:
-                cid = stack[-1][1]
-            else:
-                cid = len(heights)
-                heights.append(v)
-                parent.append(stack[-1][1] if stack else -1)
-                stack.append((v, cid))
-            knot_class[k] = cid
-        return stack
-
-    right_stack = sweep(range(o, n), None)
-    root_class = int(knot_class[o])
-    left_stack = sweep(range(o - 1, -1, -1), root_class) if o > 0 else []
-
-    # union-find over classes; only cross-side record merging uses it
-    uf = list(range(len(heights)))
-
-    def find(c: int) -> int:
-        while uf[c] != c:
-            uf[c] = uf[uf[c]]
-            c = uf[c]
-        return c
-
-    if o > 0:
-        survivors = sorted(
-            set(right_stack) | set(left_stack) | {(0.0, root_class)})
-        merged: list[tuple[float, int]] = []
-        for lvl, cid in survivors:
-            if merged and abs(lvl - merged[-1][0]) <= GLUE_TOL:
-                uf[find(cid)] = find(merged[-1][1])
-            else:
-                merged.append((lvl, cid))
-        for k in range(1, len(merged)):
-            parent[merged[k][1]] = merged[k - 1][1]
-
-    reps = sorted({find(c) for c in range(len(heights))},
-                  key=lambda c: (heights[c], c))
-    vid = {c: i for i, c in enumerate(reps)}
+    knots = np.arange(n)
+    outward = np.where(knots >= o, knots - o, n - 1 - knots)
+    first = np.full(len(heights), n)
+    np.minimum.at(first, knot_class, outward)
+    order = np.lexsort((first, heights))
+    vid = np.empty(len(heights), dtype=np.int64)
+    vid[order] = np.arange(len(heights))
     parents = {}
     lengths = {}
-    for c in reps:
-        if parent[c] == -1:
-            continue
-        p = find(parent[c])
-        parents[vid[c]] = vid[p]
-        lengths[vid[c]] = heights[c] - heights[p]
-    tree = build_tree(parents, lengths, root=vid[find(root_class)])
-    masses = np.zeros(len(reps))
-    classes = np.empty(n, dtype=np.int64)
-    for k in range(n):
-        i = vid[find(int(knot_class[k]))]
-        classes[k] = i
-        masses[i] += exc.step
-    return GluedTree(tree=tree, measure=SpeedMeasure(masses),
+    for c, p in enumerate(parent):
+        if p >= 0:
+            parents[int(vid[c])] = int(vid[p])
+            lengths[int(vid[c])] = heights[c] - heights[p]
+    classes = vid[knot_class]
+    masses = np.zeros(len(heights))
+    np.add.at(masses, classes, exc.step)
+    return GluedTree(tree=build_tree(parents, lengths, root=int(vid[0])),
+                     measure=SpeedMeasure(masses),
                      class_of=classes, excursion=exc)
 
 
@@ -298,10 +273,12 @@ def kesten_excursion(n: int, seed, horizon: float = 1.0) -> KestenSample:
     n^(-1/3) and abscissae by n^(-2/3).  Wing records sit on the exact
     lattice, so cross-side identification is exact.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise FamilyError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise FamilyError("n must be positive")
-    if horizon <= 0:
-        raise FamilyError("horizon must be positive")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise FamilyError(f"horizon must be finite and positive, got {horizon!r}")
     rng = rng_from(seed)
     steps = max(1, math.ceil(horizon * n ** (2.0 / 3.0)))
 

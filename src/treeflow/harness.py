@@ -1057,7 +1057,12 @@ def run_entrance_demo(config: ExperimentConfig) -> RunArtifacts:
 
 def run_kesten_demo(config: ExperimentConfig,
                     dump_paths: bool = False) -> RunArtifacts:
-    """Glued reflected-walk trees across sizes, with short walk summaries."""
+    """Glued reflected-walk trees across sizes, with short walk summaries.
+
+    Only ``max(config.times)`` is read: the walks run to that horizon and
+    the exact end-height law is taken there.  Smaller entries of ``times``
+    are accepted and ignored.
+    """
     horizon = float(config.family.get("horizon", 1.0))
     times = config.times
     records = []

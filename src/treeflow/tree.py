@@ -16,10 +16,10 @@ above, so a batched distance equals the scalar one bit for bit.
 pairs at a time.
 
 The module also provides the measure-side toolkit used throughout the
-package: per-vertex mass vectors (:class:`SpeedMeasure`), the edge-length
-measure, lower mass bounds over balls, degree counts at a scale, restriction
-to a ball around the root, branch closures, nets, and the root-ward
-projection onto a subset together with its mass pushforward.
+package: per-vertex mass vectors (:class:`SpeedMeasure`), lower mass
+bounds over balls, degree counts at a scale, restriction to a ball around
+the root, branch closures, nets, and the root-ward projection onto a subset
+together with its mass pushforward.
 """
 
 from __future__ import annotations
@@ -277,10 +277,11 @@ class RootedMetricTree:
         best = np.where(depth[c] > depth[best], c, best)
         return best if best.ndim else int(best)
 
-    def on_segment(self, u, x, y, tol: float = GEOM_TOL):
-        """Whether u lies on the segment [x, y], within ``tol``; an array of
-        ids u gives an array of flags."""
-        return abs(self.distance(x, u) + self.distance(u, y) - self.distance(x, y)) <= tol
+    def on_segment(self, u, x, y):
+        """Whether u lies on the segment [x, y], within ``GEOM_TOL``; an array
+        of ids u gives an array of flags."""
+        gap = self.distance(x, u) + self.distance(u, y) - self.distance(x, y)
+        return abs(gap) <= GEOM_TOL
 
     def ancestors(self, v: int) -> list[int]:
         """Vertices on the root segment of v, from v up to the root inclusive."""

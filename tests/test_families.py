@@ -38,6 +38,19 @@ def lattice_excursion(rng, max_half=8):
             return w
 
 
+def assert_glued_matches_definition(exc, glued=None):
+    # every glued distance equals the pseudo-distance of the definition
+    glued = glue_excursion(exc) if glued is None else glued
+    assert check_four_point(glued.tree)
+    for i in range(exc.n):
+        for j in range(exc.n):
+            want = excursion_distance(exc, i, j)
+            got = glued.tree.distance(
+                int(glued.class_of[i]), int(glued.class_of[j]))
+            assert got == pytest.approx(want, abs=1e-10)
+    return glued
+
+
 class TestGlue:
     def test_tent(self):
         exc = Excursion(np.array([0.0, 0.5, 0.0]), step=0.5)
@@ -59,27 +72,40 @@ class TestGlue:
     def test_one_sided_matches_definition(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
-            exc = Excursion(lattice_excursion(rng), step=0.5)
-            glued = glue_excursion(exc)
-            assert check_four_point(glued.tree)
-            for i in range(exc.n):
-                for j in range(exc.n):
-                    want = excursion_distance(exc, i, j)
-                    got = glued.tree.distance(
-                        int(glued.class_of[i]), int(glued.class_of[j]))
-                    assert got == pytest.approx(want, abs=1e-10)
+            assert_glued_matches_definition(
+                Excursion(lattice_excursion(rng), step=0.5))
+        # samples that drop past open levels: uniform heights, small
+        # integers with ties and jumps, and the smallest such case
+        for _ in range(25):
+            s = rng.uniform(0.0, 1.0, size=int(rng.integers(3, 16)))
+            s[0] = s[-1] = 0.0
+            assert_glued_matches_definition(Excursion(s, step=0.5))
+            s = rng.integers(0, 4, size=int(rng.integers(3, 16))).astype(float)
+            s[0] = s[-1] = 0.0
+            assert_glued_matches_definition(Excursion(s, step=0.5))
+        glued = assert_glued_matches_definition(
+            Excursion(np.array([0.0, 3.0, 1.0, 0.0]), step=1.0))
+        assert glued.tree.distance(
+            int(glued.class_of[1]), int(glued.class_of[2])) == pytest.approx(2.0)
 
     def test_two_sided_matches_definition(self):
         for n in (1, 3, 9, 27, 64):
             sample = kesten_excursion(n, seed=2024)
-            exc, glued = sample.excursion, sample.glued
-            assert check_four_point(glued.tree)
-            for i in range(exc.n):
-                for j in range(exc.n):
-                    want = excursion_distance(exc, i, j)
-                    got = glued.tree.distance(
-                        int(glued.class_of[i]), int(glued.class_of[j]))
-                    assert got == pytest.approx(want, abs=1e-10)
+            assert_glued_matches_definition(sample.excursion, sample.glued)
+        rng = np.random.default_rng(43)
+        for _ in range(25):
+            size = int(rng.integers(3, 16))
+            origin = int(rng.integers(1, size))
+            s = rng.uniform(0.0, 1.0, size=size)
+            s[origin] = 0.0
+            assert_glued_matches_definition(Excursion(s, 0.5, origin=origin))
+            s = rng.integers(0, 4, size=size).astype(float)
+            s[origin] = 0.0
+            assert_glued_matches_definition(Excursion(s, 0.5, origin=origin))
+        exc = Excursion(np.array([3.0, 1.0, 2.0, 0.0, 2.0, 0.0, 3.0, 1.0]),
+                        step=0.5, origin=3)
+        glued = assert_glued_matches_definition(exc)
+        assert glued.class_of[exc.origin] == glued.tree.root
 
     def test_mass_is_step_per_knot(self):
         rng = np.random.default_rng(3)
@@ -110,6 +136,11 @@ class TestGlue:
             Excursion(np.array([]), step=1.0)
         # a two-sided excursion only needs height 0 at the origin
         Excursion(np.array([2.0, 0.0, 1.0]), step=1.0, origin=1)
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf])
+    def test_step_must_be_finite(self, step):
+        with pytest.raises(FamilyError, match="step"):
+            Excursion(np.array([0.0, 1.0, 0.0]), step=step)
 
     def test_cross_side_distance_uses_complement(self):
         # heights 2,0,1 around origin 1: outer infima are the endpoints
@@ -166,6 +197,15 @@ class TestKesten:
             kesten_excursion(0, seed=1)
         with pytest.raises(FamilyError):
             kesten_excursion(5, seed=1, horizon=0.0)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_horizon_must_be_finite(self, horizon):
+        with pytest.raises(FamilyError, match="horizon"):
+            kesten_excursion(5, seed=1, horizon=horizon)
+
+    def test_n_must_be_an_integer(self):
+        with pytest.raises(FamilyError, match="n must be an integer"):
+            kesten_excursion(2.5, seed=1)
 
 
 class TestGWConditioned:
