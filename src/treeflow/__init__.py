@@ -77,6 +77,7 @@ from .families import (
     glue_excursion,
     gw_conditioned,
     kesten_excursion,
+    lattice_excursion,
     merge_rate,
     offspring_geometric,
     offspring_poisson,

@@ -22,6 +22,13 @@ class FamilyError(ValueError):
     """Invalid family parameters or failed generation."""
 
 
+def _check_size(value, name: str, low: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise FamilyError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise FamilyError(f"{name} must be at least {low}, got {value}")
+
+
 # ------------------------------------------------------------------- gluing
 
 @dataclass(frozen=True)
@@ -151,14 +158,33 @@ def glue_excursion(exc: Excursion) -> GluedTree:
 
 def degree_measure(tree: RootedMetricTree, scale: float = 1.0) -> SpeedMeasure:
     """Half the graph degree per vertex, times a scale factor."""
-    masses = np.empty(tree.n)
-    for v in range(tree.n):
-        deg = len(tree.children(v)) + (0 if v == tree.root else 1)
-        masses[v] = scale * deg / 2.0
-    return SpeedMeasure(masses)
+    # the root is its own parent: one count too many, plus no edge above it
+    deg = np.bincount(tree.parent, minlength=tree.n) + 1
+    deg[tree.root] -= 2
+    return SpeedMeasure(scale * deg / 2.0)
 
 
-# ------------------------------------------------- conditioned branching tree
+# --------------- conditioned excursions and branching trees, by cycle lemma
+
+def _cycle_rotate(steps: np.ndarray) -> np.ndarray:
+    """Rotate integer steps >= -1 summing to -1 to start just after the first
+    minimum of their partial sums: by the cycle lemma (Dvoretzky & Motzkin
+    1947; Pitman 2006, ch. 6) the one rotation whose partial sums stay
+    nonnegative before the last step.  The rotations are distinct, so an
+    exchangeable draw rotates to a uniform one among those sequences."""
+    return np.roll(steps, -1 - int(np.argmin(np.cumsum(steps))))
+
+
+def lattice_excursion(half_steps: int, seed) -> np.ndarray:
+    """Heights 0, w_1, ..., w_2k = 0 of a uniform nonnegative +-1 excursion,
+    k = half_steps: one permutation of k up-steps and k + 1 down-steps,
+    rotated by the cycle lemma, less its last down-step.  Exact, O(k) time
+    and memory, no retries."""
+    _check_size(half_steps, "half_steps", 1)
+    steps = np.repeat([1, -1], [half_steps, half_steps + 1])
+    steps = _cycle_rotate(rng_from(seed).permutation(steps))[:-1]
+    return np.concatenate([[0], np.cumsum(steps)]).astype(float)
+
 
 @dataclass(frozen=True)
 class OffspringLaw:
@@ -172,10 +198,14 @@ class OffspringLaw:
         if self.name not in ("geometric", "poisson"):
             raise FamilyError(f"unknown offspring law {self.name!r}")
 
-    def sample(self, rng: np.random.Generator) -> int:
+    def conditioned(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n i.i.d. offspring counts conditioned to sum to n - 1, in O(n): a
+        uniform weak composition (one permutation of n - 1 stars and n - 1
+        bars) for the geometric law, an equal-cell multinomial for Poisson."""
         if self.name == "geometric":
-            return int(rng.geometric(0.5)) - 1
-        return int(rng.poisson(1.0))
+            bars = rng.permutation(np.repeat([0, 1], n - 1))
+            return np.bincount(np.cumsum(bars)[bars == 0], minlength=n)
+        return rng.multinomial(n - 1, np.full(n, 1.0 / n))
 
     @property
     def sigma(self) -> float:
@@ -199,51 +229,30 @@ class GWSample:
     tree: RootedMetricTree
     degree: SpeedMeasure        # deg(v) / (2n)
     skeleton: SpeedMeasure      # 1/(n-1) per non-root vertex
-    attempts: int
     sigma: float
 
 
-def gw_conditioned(offspring: OffspringLaw, n: int, seed,
-                   max_attempts: int = 10 ** 6) -> GWSample:
-    """Branching tree conditioned on exactly n vertices, by exact rejection.
+def gw_conditioned(offspring: OffspringLaw, n: int, seed) -> GWSample:
+    """Branching tree conditioned on exactly n vertices, drawn exactly.
 
-    Each attempt grows the tree vertex by vertex and aborts as soon as the
-    population passes n, so failures are cheap.  Edges get length
+    n offspring counts conditioned to sum to n - 1 and rotated by the cycle
+    lemma are the child counts of the vertices in preorder, and vertex ids
+    follow the preorder: O(n) time and memory, no retries.  Edges get length
     sigma / sqrt(n), vertex masses deg / (2n); the companion skeleton
     measure spreads mass 1/(n-1) over the non-root vertices.
     """
-    if n < 2:
-        raise FamilyError("need at least two vertices")
-    rng = rng_from(seed)
-    for attempt in range(1, max_attempts + 1):
-        parents = {}
-        frontier = [0]
-        total = 1
-        overflow = False
-        while frontier and not overflow:
-            u = frontier.pop()
-            k = offspring.sample(rng)
-            if total + k > n:
-                overflow = True
-                break
-            for _ in range(k):
-                parents[total] = u
-                frontier.append(total)
-                total += 1
-        if overflow or total != n:
-            continue
-        ell = offspring.sigma / math.sqrt(n)
-        tree = build_tree(parents, {v: ell for v in parents}, root=0)
-        skel = np.full(n, 1.0 / (n - 1))
-        skel[0] = 0.0
-        return GWSample(tree=tree,
-                        degree=degree_measure(tree, scale=1.0 / n),
-                        skeleton=SpeedMeasure(skel),
-                        attempts=attempt,
-                        sigma=offspring.sigma)
-    raise FamilyError(
-        f"no tree of size {n} in {max_attempts} attempts "
-        f"(acceptance below {1.0 / max_attempts:.2g})")
+    _check_size(n, "n", 2)
+    counts = _cycle_rotate(offspring.conditioned(n, rng_from(seed)) - 1) + 1
+    parent = [0]
+    open_slots = [0] * int(counts[0])       # one entry per unfilled child slot
+    for v, k in enumerate(counts[1:].tolist(), start=1):
+        parent.append(open_slots.pop())
+        open_slots.extend([v] * k)
+    tree = build_tree(parent, np.full(n, offspring.sigma / math.sqrt(n)), root=0)
+    return GWSample(tree=tree,
+                    degree=degree_measure(tree, scale=1.0 / n),
+                    skeleton=SpeedMeasure(np.r_[0.0, np.full(n - 1, 1.0 / (n - 1))]),
+                    sigma=offspring.sigma)
 
 
 # --------------------------------------------- size-biased tree, two wings
@@ -273,10 +282,7 @@ def kesten_excursion(n: int, seed, horizon: float = 1.0) -> KestenSample:
     n^(-1/3) and abscissae by n^(-2/3).  Wing records sit on the exact
     lattice, so cross-side identification is exact.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise FamilyError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise FamilyError("n must be positive")
+    _check_size(n, "n", 1)
     if not (math.isfinite(horizon) and horizon > 0):
         raise FamilyError(f"horizon must be finite and positive, got {horizon!r}")
     rng = rng_from(seed)

@@ -938,27 +938,20 @@ def run_fdd(config: ExperimentConfig) -> RunArtifacts:
     return RunArtifacts(records, {"distances": rows})
 
 
-def _lattice_excursion_samples(rng, half_steps: int) -> np.ndarray:
-    """Nonnegative +-1 bridge of 2*half_steps steps, by rejection."""
-    length = 2 * half_steps
-    while True:
-        inc = rng.integers(0, 2, size=length) * 2 - 1
-        w = np.concatenate([[0], np.cumsum(inc)]).astype(float)
-        if w[-1] == 0 and np.all(w >= 0):
-            return w
-
-
 def run_crt(config: ExperimentConfig) -> RunArtifacts:
-    """Walks on nested measure discretizations of one glued excursion tree."""
-    from .families import Excursion, glue_excursion
+    """Walks on nested measure discretizations of one glued excursion tree.
+
+    The tree glues a uniform nonnegative +-1 excursion (``lattice_excursion``)
+    with heights on the lattice h Z, h = 1/sqrt(2 * (knots // 2) + 1); the
+    spaces radii sit half a step off it, so no vertex is on a ball's sphere.
+    """
+    from .families import Excursion, glue_excursion, lattice_excursion
 
     knots = int(config.family.get("knots", 256))
     times = config.times
-    rng = rng_from(_spawn(config.master_seed, 11))
-    w = _lattice_excursion_samples(rng, knots // 2)
+    w = lattice_excursion(knots // 2, _spawn(config.master_seed, 11))
     scale = 1.0 / math.sqrt(len(w))
-    exc = Excursion(w * scale, step=1.0 / len(w))
-    glued = glue_excursion(exc)
+    glued = glue_excursion(Excursion(w * scale, step=1.0 / len(w)))
     ambient, ambient_measure = glued.tree, glued.measure
     dist = tree_metric(ambient)
     diam = ambient.diameter()
@@ -976,7 +969,7 @@ def run_crt(config: ExperimentConfig) -> RunArtifacts:
         approximations.append((f"n={n}", disc.pushforward))
     rows, records = _law_distances("crt", times, levels, ref_laws, dist,
                                    _seed_label(config.master_seed, 11))
-    radii = [diam / 4.0, diam / 2.0]
+    radii = [(math.floor(diam / (k * scale)) + 0.5) * scale for k in (4, 2)]
     spaces = gh_vague_report(ambient, ambient_measure, approximations, radii,
                              delta)
     return RunArtifacts(records, {"distances": rows,

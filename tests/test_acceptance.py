@@ -21,6 +21,7 @@ from treeflow.families import (
     degree_measure,
     glue_excursion,
     gw_conditioned,
+    lattice_excursion,
     offspring_geometric,
     offspring_poisson,
 )
@@ -235,11 +236,7 @@ def test_a12_generator_laws():
         # glued excursions give genuine tree metrics, checked exhaustively
         rng = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(15,)))
         for _ in range(5):
-            while True:
-                inc = rng.integers(0, 2, size=24) * 2 - 1
-                w = np.concatenate([[0], np.cumsum(inc)]).astype(float)
-                if w[-1] == 0 and np.all(w >= 0):
-                    break
+            w = lattice_excursion(12, rng)
             glued = glue_excursion(Excursion(w / math.sqrt(len(w)),
                                              step=1.0 / len(w)))
             assert glued.tree.n <= 30

@@ -1,5 +1,6 @@
 """Tests for the tree family generators."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from treeflow.families import (
     glue_excursion,
     gw_conditioned,
     kesten_excursion,
+    lattice_excursion,
     merge_rate,
     offspring_geometric,
     offspring_poisson,
@@ -26,16 +28,6 @@ from treeflow.families import (
 )
 from treeflow.tree import check_four_point
 from treeflow.walk import build_chain
-
-
-def lattice_excursion(rng, max_half=8):
-    # rejection-sample a nonnegative +-1 bridge
-    while True:
-        length = 2 * int(rng.integers(2, max_half + 1))
-        inc = rng.integers(0, 2, size=length) * 2 - 1
-        w = np.concatenate([[0], np.cumsum(inc)]).astype(float)
-        if w[-1] == 0 and np.all(w >= 0):
-            return w
 
 
 def assert_glued_matches_definition(exc, glued=None):
@@ -73,7 +65,8 @@ class TestGlue:
         rng = np.random.default_rng(42)
         for _ in range(25):
             assert_glued_matches_definition(
-                Excursion(lattice_excursion(rng), step=0.5))
+                Excursion(lattice_excursion(int(rng.integers(2, 9)), rng),
+                          step=0.5))
         # samples that drop past open levels: uniform heights, small
         # integers with ties and jumps, and the smallest such case
         for _ in range(25):
@@ -109,7 +102,8 @@ class TestGlue:
 
     def test_mass_is_step_per_knot(self):
         rng = np.random.default_rng(3)
-        exc = Excursion(lattice_excursion(rng), step=0.125)
+        exc = Excursion(lattice_excursion(int(rng.integers(2, 9)), rng),
+                        step=0.125)
         glued = glue_excursion(exc)
         assert glued.measure.masses.sum() == pytest.approx(
             0.125 * exc.n, abs=1e-12)
@@ -240,14 +234,43 @@ class TestGWConditioned:
             for u in range(chain.n_states):
                 assert chain.exit_rate[u] == pytest.approx(want, rel=1e-12)
 
-    def test_attempt_cap_raises(self):
-        # one attempt at this seed does not reach 40 vertices exactly
-        with pytest.raises(FamilyError, match="no tree of size 40 in 1 attempts"):
-            gw_conditioned(offspring_geometric(), 40, seed=2, max_attempts=1)
-
     def test_bad_size(self):
         with pytest.raises(FamilyError):
             gw_conditioned(offspring_geometric(), 1, seed=0)
+
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(FamilyError, match="n must be an integer"):
+            gw_conditioned(offspring_geometric(), n, seed=0)
+
+    @pytest.mark.parametrize("law", [offspring_geometric(), offspring_poisson()],
+                             ids=lambda law: law.name)
+    def test_plane_tree_law_at_five_vertices(self, law):
+        # the 14 plane trees on 5 vertices, as preorder child counts, with
+        # the conditioned law prod_i P(k_i): uniform for the geometric law,
+        # proportional to prod_i 1/k_i! for the Poisson law
+        trees = [c for c in itertools.product(range(5), repeat=5)
+                 if sum(c) == 4 and min(np.cumsum(np.array(c) - 1)[:-1]) >= 0]
+        assert len(trees) == 14
+        weight = np.array([1.0 if law.name == "geometric" else
+                           1.0 / math.prod(math.factorial(k) for k in c)
+                           for c in trees])
+        draws = 4000
+        rng = np.random.default_rng(2024)
+        seen = {c: 0 for c in trees}
+        for _ in range(draws):
+            tree = gw_conditioned(law, 5, rng).tree
+            assert all(tree.parent[v] < v for v in range(1, 5))    # preorder
+            seen[tuple(len(tree.children(v)) for v in range(5))] += 1
+        stat, _ = stats.chisquare(list(seen.values()),
+                                  draws * weight / weight.sum())
+        assert stat <= stats.chi2.ppf(0.999, df=13), stat
+
+    def test_large_size(self):
+        # about one unconditioned tree in 10^8 has this size
+        sample = gw_conditioned(offspring_geometric(), 100_000, seed=4)
+        assert sample.tree.n == 100_000
+        assert sample.degree.masses.sum() == pytest.approx(0.99999, rel=1e-12)
 
     def test_unknown_law_is_rejected(self):
         with pytest.raises(FamilyError, match="unknown offspring law 'custom'"):
@@ -257,7 +280,36 @@ class TestGWConditioned:
         a = gw_conditioned(offspring_poisson(), 9, seed=55)
         b = gw_conditioned(offspring_poisson(), 9, seed=55)
         assert list(a.tree.parent) == list(b.tree.parent)
-        assert a.attempts == b.attempts
+
+
+class TestLatticeExcursion:
+    @pytest.mark.parametrize("k, paths", [(3, 5), (4, 14)])
+    def test_uniform_over_dyck_paths(self, k, paths):
+        draws = 4000
+        rng = np.random.default_rng(11)
+        seen = {}
+        for _ in range(draws):
+            w = lattice_excursion(k, rng)
+            seen[tuple(w)] = seen.get(tuple(w), 0) + 1
+        assert len(seen) == paths
+        stat, _ = stats.chisquare(list(seen.values()))
+        assert stat <= stats.chi2.ppf(0.999, df=paths - 1), stat
+
+    def test_long_path_is_an_excursion(self):
+        w = lattice_excursion(8192, seed=3)
+        assert w.size == 2 * 8192 + 1
+        assert w[0] == 0.0 and w[-1] == 0.0 and w.min() >= 0.0
+        np.testing.assert_array_equal(np.abs(np.diff(w)), 1.0)
+
+    @pytest.mark.parametrize("half_steps, message", [
+        (2.5, "half_steps must be an integer"),
+        (True, "half_steps must be an integer"),
+        (0, "half_steps must be at least 1"),
+        (-3, "half_steps must be at least 1"),
+    ])
+    def test_half_steps_validated(self, half_steps, message):
+        with pytest.raises(FamilyError, match=message):
+            lattice_excursion(half_steps, seed=1)
 
 
 class TestFixedFamilies:

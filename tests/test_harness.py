@@ -500,6 +500,7 @@ class TestRunners:
             output_dir=str(tmp_path / "c")))
         by_radius = {}
         for row in art.tables["spaces"]:
+            assert not row["flagged"], row
             by_radius.setdefault(row["radius"], []).append(row["prohorov"])
         assert len(by_radius) == 2
         for vals in by_radius.values():
