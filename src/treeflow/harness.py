@@ -43,6 +43,7 @@ from .measures import (
     tree_metric,
 )
 from .tree import (
+    MeasureError,
     RootedMetricTree,
     SpeedMeasure,
     branch_closure,
@@ -307,16 +308,19 @@ def _tree_payload(tree: RootedMetricTree, measure: SpeedMeasure) -> dict:
 
 
 def _segment_instance(rng):
-    """A _random_instance, redrawn until its diameter segment a-b has an
-    interior vertex; returns (tree, measure, middle interior vertex, a, b)."""
-    while True:
-        tree, measure = _random_instance(rng)
-        a, b = _diameter_pair(tree)
-        everyone = np.arange(tree.n)
-        inside = np.flatnonzero(tree.on_segment(everyone, a, b)
-                                & (everyone != a) & (everyone != b))
-        if len(inside):
-            return tree, measure, int(inside[len(inside) // 2]), a, b
+    """A _random_instance and its diameter segment a-b; returns (tree,
+    measure, middle interior vertex, a, b)."""
+    tree, measure = _random_instance(rng)
+    a, b = _diameter_pair(tree)
+    everyone = np.arange(tree.n)
+    inside = np.flatnonzero(tree.on_segment(everyone, a, b)
+                            & (everyone != a) & (everyone != b))
+    # a and b are distinct leaves, and two leaves of a tree with three or
+    # more vertices are never adjacent, so one draw always has an interior
+    if not len(inside):
+        raise RuntimeError(f"diameter segment {a}-{b} of a {tree.n}-vertex "
+                           "tree has no interior vertex")
+    return tree, measure, int(inside[len(inside) // 2]), a, b
 
 
 def _diameter_pair(tree: RootedMetricTree):
@@ -611,12 +615,21 @@ def check_metric_oracles(master_seed: int, cases: int = 30) -> list:
     return records
 
 
+# draws per check_trace case: over master seeds 1-200 no case needed more than 2
+TRACE_DRAWS = 64
+
+
 def check_trace(master_seed: int, cases: int = 30) -> list:
-    """Nested trace networks: energy of the harmonic extension is conserved."""
+    """Nested trace networks: energy of the harmonic extension is conserved.
+
+    Each case redraws its instance until the two branch closures nest
+    strictly, at most TRACE_DRAWS times, and raises RuntimeError naming the
+    case and seed if none does.
+    """
     records = []
     for i in range(cases):
         rng = rng_from(_spawn(master_seed, 10, i))
-        while True:
+        for _draw in range(TRACE_DRAWS):
             tree, _ = _random_instance(rng, n_low=8, n_high=14)
             big = branch_closure(
                 tree, {0} | {int(v) for v in
@@ -627,6 +640,10 @@ def check_trace(master_seed: int, cases: int = 30) -> list:
             small = branch_closure(tree, small_base)
             if 2 <= len(small) < len(big):
                 break
+        else:
+            raise RuntimeError(
+                f"trace/energy case[{i}] (seed {_seed_label(master_seed, 10, i)}): "
+                f"no strictly nested branch closures in {TRACE_DRAWS} draws")
         sub_big, ids_big = spanned_subtree(tree, big)
         sub_small, ids_small = spanned_subtree(tree, small)
         pos_big = {int(v): j for j, v in enumerate(ids_big)}
@@ -738,9 +755,10 @@ def stone_level(n: int):
     edge is as long as the step between its ends.  The measure is the
     midpoint rule for Lebesgue measure on the points, so every vertex is a
     chain state.  ``half`` is the birth-death chain on the root and one ray,
-    each ray vertex x carrying m(x) + m(-x) and each edge half its length.
+    each ray vertex x carrying m(x) + m(-x) and each edge half its length:
+    its law from the root is the walk's law folded onto the root and ray 1.
     Both rays come from the same arrays, so they mirror each other bit for
-    bit and the root law is the lumped one split evenly (_stone_root_laws).
+    bit, and run_stone computes every distance on that one ray.
     """
     q = 2.0 ** (1.0 / n)
     big_k = STONE_SPAN * n
@@ -758,17 +776,29 @@ def stone_level(n: int):
     return tree, measure, half
 
 
-def _stone_root_laws(half: WalkChain, times, ids) -> list:
-    """Exact law at each time of the walk from the root of a stone_level
-    lattice, from its lumped chain ``half`` (2K + 2 states, not 4K + 3), as
-    measures with the atom of vertex v at ``ids[v]``."""
-    laws = []
-    # every vertex carries mass, so state i is vertex i; the law is even
-    for law in exact.transition_laws(half, [0], times)[:, 0]:
-        ray = law[1:] / 2.0
-        w = np.concatenate((law[:1], ray, ray))
-        laws.append(FiniteAtomMeasure.from_dict(dict(zip(ids, w.tolist()))))
-    return laws
+def _stone_ray(tree: RootedMetricTree) -> RootedMetricTree:
+    """The root and ray 1 of a stone_level tree, vertices 0..2K + 1 with
+    their edges: the space that _stone_fold folds onto."""
+    m = (tree.n - 1) // 2
+    return build_tree(tree.parent[:m + 1], tree.edge_length[:m + 1],
+                      root=tree.root)
+
+
+def _stone_fold(measure: SpeedMeasure) -> SpeedMeasure:
+    """An even measure on a stone_level tree folded onto _stone_ray, carrying
+    m(0) at the root and m(x) + m(-x) at x; raises MeasureError unless the
+    measure is even bit for bit.
+
+    A symmetric optimal f exists for the KR dual, and a coupling on the ray
+    lifts to both rays at the same distances, so KR, Prohorov and Hausdorff
+    between even measures read the same on the ray.  Ball masses change, so
+    the mass floor stays on the unfolded measure.
+    """
+    m = (len(measure) - 1) // 2
+    ray, mirror = measure.masses[1:m + 1], measure.masses[m + 1:]
+    if not np.array_equal(ray, mirror):
+        raise MeasureError("stone measure is not even under x -> -x")
+    return SpeedMeasure(np.concatenate((measure.masses[:1], ray + mirror)))
 
 
 def _stone_reference_ids(n: int, ref: int) -> np.ndarray:
@@ -855,34 +885,39 @@ def run_stone(config: ExperimentConfig) -> RunArtifacts:
     """Stone's geometric lattices at each n against a finer reference level.
 
     Every root law, the reference's and each level's, comes from the
-    lattice's chain lumped over x -> -x (stone_level, _stone_root_laws).  A
-    level's atoms and masses sit on their reference-lattice twins, and the
-    spaces rows compare its pushed measure with the reference measure.
+    lattice's chain lumped over x -> -x (stone_level), so it is already
+    folded onto the root and ray 1.  A level's atoms and masses sit on their
+    reference-lattice twins, and the spaces rows compare its pushed measure
+    with the reference measure.  Laws and measures are even, so every
+    distance runs on the root and one ray of the reference lattice
+    (_stone_ray, _stone_fold); only m_delta reads the unfolded measures.
     """
     ref_level = int(config.family.get("reference_level", 2 * max(config.n_list)))
     delta = 0.25                  # ball radius of the spaces rows' mass floor
     times = config.times
     ref_tree, ref_measure, ref_half = stone_level(ref_level)
-    ref_laws = _stone_root_laws(ref_half, times, range(ref_tree.n))
+    ray_tree = _stone_ray(ref_tree)
+    ref_laws = _root_laws(ref_half, times, range(ray_tree.n))
     levels = []
-    approximations = []
+    folded, pushed = [], []
     for n in config.n_list:
         _, measure, half = stone_level(n)
         ids = _stone_reference_ids(n, ref_level)
         # atoms sit on their reference-lattice twins, so shared ones merge
-        laws = _stone_root_laws(half, times, ids.tolist())
+        laws = _root_laws(half, times, ids[:half.n_states].tolist())
         levels.append((n, laws, {"reference_level": ref_level}))
-        pushed = np.zeros(ref_tree.n)
-        np.add.at(pushed, ids, measure.masses)
-        approximations.append((f"n={n}", SpeedMeasure(pushed)))
+        masses = np.zeros(ref_tree.n)
+        np.add.at(masses, ids, measure.masses)
+        pushed.append(SpeedMeasure(masses))
+        folded.append((f"n={n}", _stone_fold(pushed[-1])))
     rows, records = _law_distances("stone", times, levels, ref_laws,
-                                   tree_metric(ref_tree), "deterministic")
+                                   tree_metric(ray_tree), "deterministic")
     # radii off the lattice: no vertex height is 2^STONE_SPAN * 0.3 or 0.6,
     # so the boundary-tie flag stays quiet.  The lattice is a path, so
-    # Prohorov runs on its sweep.
+    # Prohorov runs on its sweep and m_delta on its prefix sums.
     radii = [0.3 * 2.0 ** STONE_SPAN, 0.6 * 2.0 ** STONE_SPAN]
-    spaces = gh_vague_report(ref_tree, ref_measure, approximations, radii,
-                             delta)
+    spaces = gh_vague_report(ray_tree, _stone_fold(ref_measure), folded,
+                             radii, delta, floor_on=(ref_tree, pushed))
     return RunArtifacts(records, {"distances": rows,
                                   "spaces": _spaces_table(spaces)})
 

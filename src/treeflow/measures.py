@@ -188,18 +188,6 @@ def _interval_flow(supply_pos, supply_w, demand_pos, demand_w,
     return shipped
 
 
-def _path_positions(tree: RootedMetricTree) -> Optional[np.ndarray]:
-    """d(end, v) for every v when the tree is a path, else None.
-
-    In a path the root has at most two children and every other vertex at
-    most one; the deepest vertex is then an end.
-    """
-    kids = np.bincount(tree.parent, minlength=tree.n)
-    kids[tree.root] -= 2      # its own parent, and allowed a second child
-    return None if kids.max() > 1 else tree.distances_from(
-        int(np.argmax(tree.height)))
-
-
 def prohorov(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist,
              dists: Optional[np.ndarray] = None) -> float:
     """Prohorov distance, exact up to float slack.
@@ -224,7 +212,7 @@ def prohorov(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist,
     line = None
     if isinstance(dist, TreeMetric):
         ids_mu, ids_nu = _vertex_ids(mu.points), _vertex_ids(nu.points)
-        line = _path_positions(dist.tree)
+        line = dist.tree._path_positions
         if dists is None:
             dists = dist.tree.distance_block(ids_mu, ids_nu)
     if dists is None:
@@ -494,23 +482,27 @@ def _ball_measure(tree: RootedMetricTree, measure: SpeedMeasure, radius: float) 
 
 def gh_vague_report(tree: RootedMetricTree, limit_measure: SpeedMeasure,
                     approximations: Sequence, radii: Sequence[float],
-                    delta: float) -> list[ConvergenceRow]:
+                    delta: float, floor_on=None) -> list[ConvergenceRow]:
     """ConvergenceRows of (support Hausdorff, Prohorov, dual gap, mass floor),
     one per radius and approximation.
 
     ``approximations`` is a list of (label, SpeedMeasure) pairs on the same
     ambient tree as the limit.  A radius is flagged when the limit measure
     charges a vertex sitting on the boundary sphere within geometric
-    tolerance; restriction is unstable against such ties.
+    tolerance; restriction is unstable against such ties.  ``floor_on``,
+    when given, is (tree, measures): approximation i's mass floor is then
+    read from measures[i] on that tree, as for measures folded by a
+    symmetry, whose balls hold other masses than the unfolded ones.
     """
     dist = tree_metric(tree)
+    floor_tree, floors = floor_on or (tree, [a for _, a in approximations])
     rows = []
     for radius in radii:
         target = _ball_measure(tree, limit_measure, radius)
         tgt_idx = _vertex_ids(target.points)
         flagged = bool(np.any((limit_measure.masses > 0)
                               & (np.abs(tree.height - radius) <= GEOM_TOL)))
-        for label, approx in approximations:
+        for (label, approx), floor in zip(approximations, floors):
             got = _ball_measure(tree, approx, radius)
             dmat = tree.distance_block(_vertex_ids(got.points), tgt_idx)
             rows.append(ConvergenceRow(
@@ -519,7 +511,7 @@ def gh_vague_report(tree: RootedMetricTree, limit_measure: SpeedMeasure,
                 hausdorff=_block_hausdorff(dmat),
                 prohorov=prohorov(got, target, dist, dists=dmat),
                 kr=kr_distance(got, target, dist),
-                m_delta=lower_mass(tree, approx, delta, radius=radius),
+                m_delta=lower_mass(floor_tree, floor, delta, radius=radius),
                 flagged=flagged,
             ))
     return rows

@@ -24,6 +24,7 @@ together with its mass pushforward.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations, islice
@@ -186,6 +187,22 @@ class RootedMetricTree:
         if self._euler is None:
             self._euler = _EulerTable(self)
         return self._euler
+
+    @functools.cached_property
+    def _path_positions(self) -> Optional[np.ndarray]:
+        """d(end, v) for every v when the tree is a path, else None; built
+        on first use and kept, like the Euler table.
+
+        In a path the root has at most two children and every other vertex
+        at most one; the deepest vertex is then an end.
+        """
+        kids = np.bincount(self.parent, minlength=self.n)
+        kids[self.root] -= 2      # its own parent, and allowed a second child
+        if kids.max() > 1:
+            return None
+        pos = self.distances_from(int(np.argmax(self.height)))
+        pos.setflags(write=False)
+        return pos
 
     def _vertex_array(self, vs) -> np.ndarray:
         arr = np.asarray(vs)
@@ -445,6 +462,10 @@ def lower_mass(tree: RootedMetricTree, measure: SpeedMeasure, delta: float,
 
     With ``radius`` given, centers range over the open ball around the root;
     an empty center range gives +inf.
+
+    On a path this costs O(n log n), plus one dense ball_masses row per
+    center kept by _floor_candidates; on any other tree, O(n * centers).
+    Either way the value is the least dense row, bit for bit.
     """
     if delta < 0:
         raise TreeError("delta must be nonnegative")
@@ -452,8 +473,41 @@ def lower_mass(tree: RootedMetricTree, measure: SpeedMeasure, delta: float,
         centers = np.arange(tree.n)
     else:
         centers = np.flatnonzero(tree.height < radius - FLOAT_SLACK)
+    line = tree._path_positions
+    if line is not None and len(centers):
+        centers = _floor_candidates(line, measure.masses, centers, delta)
     masses = measure.ball_masses(tree, centers, delta, closed=True)
     return float(masses.min()) if len(masses) else math.inf
+
+
+def _floor_candidates(pos: np.ndarray, masses: np.ndarray,
+                      centers: np.ndarray, delta: float) -> np.ndarray:
+    """The centers on a path whose closed delta-ball may hold the least mass.
+
+    ``pos`` is each vertex's position along the path.  A ball holds every
+    vertex within delta - tol of its center in position and none beyond
+    delta + tol, where tol (GEOM_TOL, scaled up on paths longer than 1)
+    covers the rounding of positions and distances.  Prefix sums of the
+    masses in path order over those two windows bracket each ball's mass; a
+    center whose lower bound exceeds the least upper bound, by more than the
+    sums' own rounding, cannot be the minimum.
+    """
+    order = np.argsort(pos, kind="stable")
+    line = pos[order]
+    cum = np.concatenate(([0.0], np.cumsum(masses[order])))
+    at = pos[centers]
+    tol = GEOM_TOL * max(1.0, float(line[-1]))
+
+    def window(r: float) -> np.ndarray:
+        return (cum[np.searchsorted(line, at + r, side="right")]
+                - cum[np.searchsorted(line, at - r, side="left")])
+
+    # a center always lies in its own ball, whatever the window
+    low = window(delta - tol) if delta > tol else masses[centers]
+    high = window(delta + tol)
+    # a prefix difference and a dense sum each round by under n ulps of the total
+    slack = 8.0 * len(masses) * np.finfo(np.float64).eps * float(cum[-1])
+    return centers[low <= high.min() + slack]
 
 
 def epsilon_degree(tree: RootedMetricTree, x: int, eps: float) -> int:

@@ -27,8 +27,10 @@ from treeflow.harness import (
     ExperimentConfig,
     RunArtifacts,
     _mc_record,
+    _root_laws,
+    _stone_fold,
+    _stone_ray,
     _stone_reference_ids,
-    _stone_root_laws,
     _write,
     check_atom_law,
     check_discretization,
@@ -43,8 +45,13 @@ from treeflow.harness import (
     stone_level,
 )
 from treeflow.cli import main as cli_main
-from treeflow.measures import FiniteAtomMeasure
-from treeflow.tree import SpeedMeasure
+from treeflow.measures import (
+    FiniteAtomMeasure,
+    gh_vague_report,
+    kr_distance,
+    tree_metric,
+)
+from treeflow.tree import MeasureError, SpeedMeasure, lower_mass
 from treeflow.walk import ChainError, build_chain, lockstep_ensemble
 from conftest import path_tree
 
@@ -205,28 +212,92 @@ class TestStoneLumping:
     def test_lumped_laws_match_the_unfolded_engine(self, n):
         times = (0.25, 1.0)
         tree, measure, half = stone_level(n)
-        lumped = _stone_root_laws(half, times, range(tree.n))
+        m = (tree.n - 1) // 2
+        lumped = _root_laws(half, times, range(m + 1))
         unfolded = exact.transition_laws(build_chain(tree, measure), [tree.root],
                                          times)[:, 0]
-        m = (tree.n - 1) // 2
         mirror = np.concatenate(([0], np.arange(m) + m + 1, np.arange(m) + 1))
         pos = stone_points(tree)
         assert np.array_equal(pos[mirror], -pos)
         for law, want in zip(lumped, unfolded):
+            assert np.abs(want[mirror] - want).max() <= 1e-12
             got = dict(zip(law.points, law.weights))
-            assert sorted(got) == list(range(tree.n))
-            w = np.array([got[v] for v in range(tree.n)])
-            assert np.abs(w - want).max() <= 1e-12
+            assert sorted(got) == list(range(m + 1))
+            w = np.array([got[v] for v in range(m + 1)])
+            folded = np.concatenate((want[:1], want[1:m + 1] + want[m + 1:]))
+            assert np.abs(w - folded).max() <= 1e-12
             assert abs(w.sum() - 1.0) <= 1e-12
-            assert np.array_equal(w[mirror], w)
 
     def test_ids_place_the_atoms(self):
         tree, _, half = stone_level(2)
-        ids = [10 * v for v in range(tree.n)]
-        plain = _stone_root_laws(half, (0.5,), range(tree.n))[0]
-        moved = _stone_root_laws(half, (0.5,), ids)[0]
+        ids = [10 * v for v in range(half.n_states)]
+        plain = _root_laws(half, (0.5,), range(half.n_states))[0]
+        moved = _root_laws(half, (0.5,), ids)[0]
         assert moved.points == tuple(10 * v for v in plain.points)
         assert moved.weights == plain.weights
+
+    @pytest.mark.parametrize("ref", [16, 32])
+    def test_folded_distances_match_the_unfolded_ones(self, ref):
+        times, delta = (0.25, 1.0), 0.25
+        radii = [0.3 * 2.0 ** harness.STONE_SPAN, 0.6 * 2.0 ** harness.STONE_SPAN]
+        ref_tree, ref_measure, ref_half = stone_level(ref)
+        ray_tree = _stone_ray(ref_tree)
+        assert np.array_equal(ray_tree.height, ref_tree.height[:ray_tree.n])
+
+        def engine_laws(n, ids):
+            tree, measure, _ = stone_level(n)
+            rows = exact.transition_laws(build_chain(tree, measure),
+                                         [tree.root], times)[:, 0]
+            return [FiniteAtomMeasure.from_dict(dict(zip(ids, law.tolist())))
+                    for law in rows]
+
+        ref_laws = engine_laws(ref, range(ref_tree.n))
+        ray_ref = _root_laws(ref_half, times, range(ray_tree.n))
+        for n in (2, ref // 4):
+            _, measure, half = stone_level(n)
+            ids = _stone_reference_ids(n, ref)
+            laws = engine_laws(n, ids.tolist())
+            ray = _root_laws(half, times, ids[:half.n_states].tolist())
+            for a, b, fa, fb in zip(laws, ref_laws, ray, ray_ref):
+                assert abs(kr_distance(a, b, tree_metric(ref_tree))
+                           - kr_distance(fa, fb, tree_metric(ray_tree))) <= 1e-9
+            pushed = np.zeros(ref_tree.n)
+            np.add.at(pushed, ids, measure.masses)
+            pushed = SpeedMeasure(pushed)
+            plain = gh_vague_report(ref_tree, ref_measure, [("x", pushed)],
+                                    radii, delta)
+            folded = gh_vague_report(ray_tree, _stone_fold(ref_measure),
+                                     [("x", _stone_fold(pushed))], radii, delta,
+                                     floor_on=(ref_tree, [pushed]))
+            for p, f in zip(plain, folded):
+                assert f.hausdorff == p.hausdorff and f.m_delta == p.m_delta
+                assert f.flagged == p.flagged
+                assert abs(f.kr - p.kr) <= 1e-9
+                assert abs(f.prohorov - p.prohorov) <= 1e-9
+
+    def test_fold_rejects_an_uneven_measure(self):
+        tree, measure, _ = stone_level(2)
+        folded = _stone_fold(measure)
+        m = (tree.n - 1) // 2
+        assert np.array_equal(folded.masses[1:], 2.0 * measure.masses[1:m + 1])
+        masses = measure.masses.copy()
+        masses[-1] = np.nextafter(masses[-1], 1.0)
+        with pytest.raises(MeasureError, match="not even"):
+            _stone_fold(SpeedMeasure(masses))
+
+    def test_mass_floor_sums_few_centres_at_level_1024(self, monkeypatch):
+        tree, measure, _ = stone_level(1024)
+        seen = []
+        dense = SpeedMeasure.ball_masses
+
+        def spy(self, tree, centers, *args, **kwargs):
+            seen.append(len(centers))
+            return dense(self, tree, centers, *args, **kwargs)
+
+        monkeypatch.setattr(SpeedMeasure, "ball_masses", spy)
+        for radius in (1.2, 2.4):
+            lower_mass(tree, measure, 0.25, radius=radius)
+        assert len(seen) == 2 and max(seen) <= 16
 
     def test_heights_are_powers_of_q(self):
         for n in (1, 2, 8):

@@ -379,6 +379,67 @@ class TestLowerMass:
         m = SpeedMeasure([1.0, 1.0])
         assert lower_mass(t, m, 0.5, radius=0.0) == math.inf
 
+    @staticmethod
+    def dense_floor(t, m, delta, radius):
+        best = math.inf
+        for x in range(t.n):
+            if radius is None or t.height[x] < radius - FLOAT_SLACK:
+                ball = m.masses[t.distances_from(x) <= delta + FLOAT_SLACK]
+                best = min(best, float(ball.sum()))
+        return best
+
+    @pytest.mark.parametrize("lattice", [False, True])
+    @pytest.mark.parametrize("middle", [False, True])
+    def test_path_bracket_equals_dense_minimum(self, rng, lattice, middle):
+        for _ in range(20):
+            n = int(rng.integers(2, 30))
+            lengths = (np.full(n - 1, 0.25) if lattice
+                       else rng.uniform(0.05, 1.0, n - 1))
+            root = int(rng.integers(0, n)) if middle else 0
+            # the path 0-1-...-(n-1), rooted at ``root``
+            parents = {v: v + 1 if v < root else v - 1
+                       for v in range(n) if v != root}
+            ells = {v: float(lengths[min(v, parents[v])]) for v in parents}
+            t = build_tree(parents, ells, root)
+            assert t._path_positions is not None
+            m = (SpeedMeasure(rng.choice([0.25, 0.5, 1.0], size=n)) if lattice
+                 else random_masses(rng, n))
+            # radii exactly on vertex distances, and on the lattice within
+            # GEOM_TOL of them, where the windows and the dense rows differ
+            pairs = rng.integers(0, n, size=(12, 2))
+            deltas = ((0.0, 0.25, 0.25 - 5e-10, 0.25 + 5e-10, 0.5, 0.75)
+                      if lattice else
+                      [0.0, 0.3] + [float(t.distance(int(u), int(v)))
+                                    for u, v in pairs])
+            for delta in deltas:
+                for radius in (None, 1.25, float(rng.uniform(0.0, 4.0))):
+                    assert lower_mass(t, m, delta, radius=radius) == \
+                        self.dense_floor(t, m, delta, radius)
+
+    def test_branching_tree_takes_the_dense_route(self, rng, monkeypatch):
+        t = random_tree(rng, 30)
+        while t._path_positions is not None:
+            t = random_tree(rng, 30)
+        m = random_masses(rng, t.n)
+        seen = []
+        dense = SpeedMeasure.ball_masses
+
+        def spy(self, tree, centers, *args, **kwargs):
+            seen.append(len(centers))
+            return dense(self, tree, centers, *args, **kwargs)
+
+        monkeypatch.setattr(SpeedMeasure, "ball_masses", spy)
+        assert lower_mass(t, m, 0.4) == self.dense_floor(t, m, 0.4, None)
+        assert seen == [t.n]
+
+    def test_path_positions_are_cached_per_tree(self):
+        t = path_tree([1.0, 0.5, 2.0])
+        pos = t._path_positions
+        assert pos is t._path_positions and not pos.flags.writeable
+        assert np.array_equal(pos, t.distances_from(3))
+        star = build_tree({1: 0, 2: 0, 3: 0}, {1: 1.0, 2: 1.0, 3: 1.0}, 0)
+        assert star._path_positions is None
+
 
 class TestRestrict:
     def test_identity_when_radius_large(self, rng):
