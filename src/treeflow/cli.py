@@ -4,11 +4,13 @@ Usage: treeflow <experiment> [--config FILE] [--seed N] [--out DIR]
                 [--dump-paths]
 
 Without --config the shipped default for the experiment runs.
+--dump-paths writes kesten's sampled paths as CSV; no other experiment
+samples paths it could write, so the flag is rejected for them.
 
 Exit codes:
   0  every check record in the report passed
   1  the run finished and some check failed
-  2  the config was rejected (the message names the field)
+  2  the config or a flag was rejected (the message names it)
   3  the experiment crashed; stderr names it and the exception
 """
 
@@ -31,13 +33,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="override master_seed")
     parser.add_argument("--out", help="override output_dir")
     parser.add_argument("--dump-paths", action="store_true",
-                        help="write sampled paths as CSV where supported")
+                        help="write sampled paths as CSV (kesten only)")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.dump_paths and args.experiment != "kesten":
+            raise ConfigError(f"--dump-paths: {args.experiment} writes no "
+                              "paths; only kesten supports it")
         if args.config:
             config = ExperimentConfig.from_file(args.config)
             if config.experiment != args.experiment:

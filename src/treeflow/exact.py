@@ -35,11 +35,13 @@ class OracleError(ValueError):
 
 # ----------------------------------------------------------------- occupation
 
-def green_kernel(tree: RootedMetricTree, x: int, y: int, z: int) -> float:
+def green_kernel(tree: RootedMetricTree, x: int, y: int, z):
     """Occupation density g(x, z) for the walk killed on hitting y.
 
     E_x[time in dz before hitting y] = g(x, z) * mass(z) with
-    g(x, z) = 2 * d(y, median(x, y, z)).  Symmetric in x and z.
+    g(x, z) = 2 * d(y, median(x, y, z)).  Symmetric in x and z.  A vertex
+    id z gives a float; an array of ids gives an array, bit for bit the
+    same per entry.
     """
     m = tree.branch_point(x, y, z)
     return 2.0 * tree.distance(y, m)
@@ -50,9 +52,7 @@ def occupation_functional(tree: RootedMetricTree, measure: SpeedMeasure,
     """Closed form for the expected integral of f along the walk until it hits y."""
     fv = vertex_function(tree, 1.0 if f is None else f, OracleError)
     zs = np.flatnonzero((measure.masses != 0.0) & (fv != 0.0))
-    # green_kernel for every z at once
-    median = tree.branch_point(x, y, zs)
-    terms = fv[zs] * (2.0 * tree.distance(y, median)) * measure.masses[zs]
+    terms = fv[zs] * green_kernel(tree, x, y, zs) * measure.masses[zs]
     total = 0.0
     for term in terms:       # summed in vertex order, like the scalar formula
         total += term

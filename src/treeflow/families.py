@@ -142,12 +142,14 @@ def glue_excursion(exc: Excursion) -> GluedTree:
     order = np.lexsort((first, heights))
     vid = np.empty(len(heights), dtype=np.int64)
     vid[order] = np.arange(len(heights))
-    parents = {}
-    lengths = {}
-    for c, p in enumerate(parent):
-        if p >= 0:
-            parents[int(vid[c])] = int(vid[p])
-            lengths[int(vid[c])] = heights[c] - heights[p]
+    # class 0 holds the origin, at height 0, and is the only one without a parent
+    kids = np.arange(1, len(heights))
+    up = np.array(parent[1:], dtype=np.int64)
+    h = np.array(heights)
+    parents = np.zeros(len(heights), dtype=np.int64)
+    parents[vid[kids]] = vid[up]
+    lengths = np.zeros(len(heights))
+    lengths[vid[kids]] = h[kids] - h[up]
     classes = vid[knot_class]
     masses = np.zeros(len(heights))
     np.add.at(masses, classes, exc.step)
@@ -310,8 +312,7 @@ def binary_tree(depth: int):
     if not 1 <= depth <= 20:
         raise FamilyError("depth must be between 1 and 20")
     n = 2 ** (depth + 1) - 1
-    parents = {v: (v - 1) // 2 for v in range(1, n)}
-    tree = build_tree(parents, {v: 1.0 for v in range(1, n)}, root=0)
+    tree = build_tree((np.arange(n) - 1) // 2, np.ones(n), root=0)
     measure = SpeedMeasure(np.exp(-tree.height))
     return tree, measure
 
@@ -455,20 +456,14 @@ def coalescent_speed_measure(ct: CoalescentTree, variant: str) -> SpeedMeasure:
         raise FamilyError(f"unknown variant {variant!r}")
     tree = ct.tree
     n = ct.n_leaves
-    order = sorted(range(tree.n), key=lambda v: -tree.depth[v])
-    below = np.zeros(tree.n)
-    for v in order:
-        if v < n:
-            below[v] += 1.0
-        if v != tree.root:
-            below[tree.parent[v]] += below[v]
-    frac = below / n
-    masses = np.zeros(tree.n)
-    for v in range(tree.n):
-        if v == tree.root:
-            continue
-        if variant == "skeleton-density" or v >= n:
-            masses[v] = frac[v] * tree.edge_length[v]
+    # v's subtree is the preorder window [pre, pre + size); leaves are 0..n-1
+    leaves = np.concatenate(([0], np.cumsum(tree.order < n)))
+    pre = np.arange(tree.n)
+    below = np.empty(tree.n)
+    below[tree.order] = leaves[pre + tree.size[tree.order]] - leaves[pre]
+    # the root's edge length is 0, so it carries no density mass
+    masses = below / n * tree.edge_length
     if variant == "branch-atomic":
+        masses[:n] = 0.0
         masses[tree.root] = 1.0
     return SpeedMeasure(masses)

@@ -712,6 +712,11 @@ def run_verify(config: ExperimentConfig) -> RunArtifacts:
     this process runs the five exact ones.  Every check draws from its own
     seed sequences and the records are joined in the order of the checks
     below, so the output bytes do not depend on the number of cores.
+
+    A run holds 70 two-sided 3-sigma Monte Carlo records, so at a seed
+    other than the shipped one a correct sampler fails at least one of
+    them with probability 1 - 0.9973^70, about 17%: an exit code 1 there
+    is not by itself a defect.
     """
     scale = float(config.family.get("scale", 1.0))
 

@@ -1,9 +1,10 @@
 """Rooted trees with edge lengths, vertex measures, and discretization.
 
 A tree is stored as a parent map plus positive edge lengths; every vertex id
-is an integer in ``range(n)`` and the root is its own parent.  Heights
-(distance to the root) and depths are derived once at construction, and all
-metric queries go through lowest-common-ancestor arithmetic:
+is an integer in ``range(n)`` and the root is its own parent.  One
+depth-first pass at construction derives the preorder, depths, heights
+(distance to the root) and subtree sizes, and all metric queries go through
+lowest-common-ancestor arithmetic:
 
     d(x, y) = height[x] + height[y] - 2 * height[lca(x, y)]
 
@@ -67,30 +68,24 @@ class _EulerTable:
     to hi, the two windows sit at ``lo_offset[s] + lo`` and
     ``hi_offset[s] + hi``.  O(n log n) to build, O(1) per query.
 
-    ``first[v]`` and ``last[v]`` are the first and last tour positions of v,
-    so v's subtree is the vertices whose first visit lies in that window.
+    The tour is read off the tree's preorder in O(n), with no walk of its
+    own: v is first visited at ``first[v] = 2 pre[v] - depth[v]`` (pre its
+    preorder rank) and last at ``last[v] = first[v] + 2 (size[v] - 1)``,
+    and the tour is back at the parent of each non-root c at ``last[c] + 1``.
+    v's subtree is the vertices whose first visit lies in that window.
     """
 
     def __init__(self, tree: "RootedMetricTree"):
         n = tree.n
-        kids = [c.tolist() for c in tree._children]
-        tour = [tree.root]
-        first = [0] * n
-        last = [0] * n
-        stack = [(tree.root, iter(kids[tree.root]))]
-        while stack:
-            c = next(stack[-1][1], None)
-            if c is None:
-                stack.pop()
-                if stack:
-                    last[stack[-1][0]] = len(tour)
-                    tour.append(stack[-1][0])
-            else:
-                first[c] = last[c] = len(tour)
-                tour.append(c)
-                stack.append((c, iter(kids[c])))
-        euler = np.array(tour, dtype=np.int64)
-        m = len(tour)
+        pre = np.empty(n, dtype=np.int64)
+        pre[tree.order] = np.arange(n)
+        first = 2 * pre - tree.depth
+        last = first + 2 * (tree.size - 1)
+        m = 2 * n - 1
+        euler = np.empty(m, dtype=np.int64)
+        euler[first] = np.arange(n)
+        kids = tree.order[1:]
+        euler[last[kids] + 1] = tree.parent[kids]
         bits = n.bit_length()
         table = np.empty((m.bit_length(), m), dtype=np.int64)
         table[0] = (tree.depth[euler] << bits) | euler
@@ -107,10 +102,10 @@ class _EulerTable:
         self.mask = (1 << bits) - 1
         self.lo_offset = level * m
         self.hi_offset = level * m + 1 - np.left_shift(1, level)
-        self.first = np.array(first, dtype=np.int64)
-        self.last = np.array(last, dtype=np.int64)
+        self.first = first
+        self.last = last
         # plain lists serve the scalar queries without numpy scalar overhead
-        self.first_list = first
+        self.first_list = first.tolist()
         self.heights = tree.height.tolist()
 
     def meet(self, x: int, y: int) -> int:
@@ -139,49 +134,56 @@ class RootedMetricTree:
     """Finite rooted tree with strictly positive edge lengths.
 
     Instances are built through :func:`build_tree` (or the generator
-    helpers), which validates the structure.  Arrays are frozen after
-    construction.
+    helpers), which validates the structure.  One O(n) depth-first pass from
+    the root, children by ascending id, gives the preorder ``order`` and each
+    vertex's ``depth``, ``height`` and subtree ``size``; a vertex it misses
+    lies on a cycle.  Arrays are frozen after construction.
     """
 
     def __init__(self, parent: np.ndarray, edge_length: np.ndarray, root: int):
         self.parent = parent
         self.edge_length = edge_length
         self.root = root
-        self.n = parent.shape[0]
-        self.depth = np.zeros(self.n, dtype=np.int64)
-        self.height = np.zeros(self.n, dtype=np.float64)
-        self._fill_depth_height()
-        self._children: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * self.n
-        self._fill_children()
+        self.n = n = parent.shape[0]
+        # children grouped by parent, ascending ids within a group; the
+        # root, keyed -1, sorts ahead of every group and is dropped
+        key = parent.copy()
+        key[root] = -1
+        self._kids = np.argsort(key, kind="stable")[1:]
+        self._kid_start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key[self._kids], minlength=n),
+                  out=self._kid_start[1:])
+        self.order, self.depth, self.height, self.size = self._preorder()
         self._euler: Optional[_EulerTable] = None
-        for arr in (self.parent, self.edge_length, self.depth, self.height):
+        for arr in (self.parent, self.edge_length, self.order, self.depth,
+                    self.height, self.size, self._kids, self._kid_start):
             arr.setflags(write=False)
 
     # -- construction internals ------------------------------------------
 
-    def _fill_depth_height(self):
-        known = np.zeros(self.n, dtype=bool)
-        known[self.root] = True
-        for v in range(self.n):
-            chain = []
-            u = v
-            while not known[u]:
-                chain.append(u)
-                u = int(self.parent[u])
-                if len(chain) > self.n:
-                    raise TreeError("parent pointers contain a cycle")
-            for w in reversed(chain):
-                p = int(self.parent[w])
-                self.depth[w] = self.depth[p] + 1
-                self.height[w] = self.height[p] + self.edge_length[w]
-                known[w] = True
-
-    def _fill_children(self):
-        kids: list[list[int]] = [[] for _ in range(self.n)]
-        for v in range(self.n):
-            if v != self.root:
-                kids[int(self.parent[v])].append(v)
-        self._children = [np.array(c, dtype=np.int64) for c in kids]
+    def _preorder(self):
+        """(order, depth, height, size) from one depth-first pass."""
+        n, root = self.n, self.root
+        par, ell = self.parent.tolist(), self.edge_length.tolist()
+        # children reversed, so the stack pops each group in ascending order
+        stacked = self._kids[::-1].tolist()
+        hi = (n - 1 - self._kid_start).tolist()
+        depth, height, order = [0] * n, [0.0] * n, [root]
+        stack = stacked[hi[root + 1]:hi[root]]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            p = par[v]
+            depth[v] = depth[p] + 1
+            height[v] = height[p] + ell[v]
+            stack += stacked[hi[v + 1]:hi[v]]
+        if len(order) < n:
+            raise TreeError("parent pointers contain a cycle")
+        size = [1] * n
+        for v in reversed(order[1:]):
+            size[par[v]] += size[v]
+        return (np.array(order, dtype=np.int64), np.array(depth, dtype=np.int64),
+                np.array(height, dtype=np.float64), np.array(size, dtype=np.int64))
 
     def _tables(self) -> "_EulerTable":
         if self._euler is None:
@@ -230,12 +232,13 @@ class RootedMetricTree:
     # -- basic queries ----------------------------------------------------
 
     def children(self, v: int) -> np.ndarray:
-        return self._children[v]
+        """Children of v in ascending id order."""
+        return self._kids[self._kid_start[v]:self._kid_start[v + 1]]
 
     def neighbors(self, v: int) -> np.ndarray:
         if v == self.root:
-            return self._children[v]
-        return np.concatenate(([int(self.parent[v])], self._children[v]))
+            return self.children(v)
+        return np.concatenate(([int(self.parent[v])], self.children(v)))
 
     def edges(self):
         """Yield (child, parent, length) for every edge."""
@@ -381,11 +384,12 @@ def build_tree(parents, edge_lengths, root: int) -> RootedMetricTree:
         if earr.shape[0] != n:
             raise TreeError("edge length array does not match vertex count")
     earr[root] = 0.0
-    bad = [v for v in range(n) if v != root and not (earr[v] > 0.0 and math.isfinite(earr[v]))]
-    if bad:
-        raise TreeError(f"edge lengths must be strictly positive and finite; bad at {bad}")
-    tree = RootedMetricTree(parr, earr, root)  # cycle check happens here
-    return tree
+    bad = ~((earr > 0.0) & np.isfinite(earr))
+    bad[root] = False
+    if bad.any():
+        raise TreeError("edge lengths must be strictly positive and finite; "
+                        f"bad at {np.flatnonzero(bad).tolist()}")
+    return RootedMetricTree(parr, earr, root)  # cycle check happens here
 
 
 # -- measures --------------------------------------------------------------
@@ -414,7 +418,10 @@ class SpeedMeasure:
     def from_dict(cls, n: int, mapping: Mapping[int, float]) -> "SpeedMeasure":
         m = np.zeros(n, dtype=np.float64)
         for k, v in mapping.items():
-            m[_as_int(k)] = float(v)
+            k = _as_int(k)
+            if not 0 <= k < n:
+                raise MeasureError(f"vertex {k} outside vertex range 0..{n - 1}")
+            m[k] = float(v)
         return cls(m)
 
     def __len__(self):
@@ -529,7 +536,7 @@ def epsilon_degree(tree: RootedMetricTree, x: int, eps: float) -> int:
     in_ball = d < eps - FLOAT_SLACK
     tables = tree._tables()
     far = np.sort(tables.first[d >= 2 * eps - FLOAT_SLACK])
-    kids = np.flatnonzero(np.arange(tree.n) != tree.root)
+    kids = tree.order[1:]
     kid_in, parent_in = in_ball[kids], in_ball[tree.parent[kids]]
     # far vertices in each kid's subtree
     below = (np.searchsorted(far, tables.last[kids], side="right")
@@ -640,21 +647,12 @@ def restrict(tree: RootedMetricTree, measure: SpeedMeasure,
     """Induced subtree and measure on the closed ball around the root."""
     if radius < 0:
         raise TreeError("radius must be nonnegative")
-    keep = np.nonzero(tree.height <= radius + FLOAT_SLACK)[0]
-    new_of = {int(v): i for i, v in enumerate(keep)}
-    parents = {}
-    lengths = {}
-    for i, v in enumerate(keep):
-        v = int(v)
-        if v == tree.root:
-            continue
-        p = int(tree.parent[v])
-        # heights grow along root segments, so parents of kept vertices are kept
-        parents[i] = new_of[p]
-        lengths[i] = float(tree.edge_length[v])
-    sub = build_tree(parents, lengths, new_of[tree.root])
-    sub_m = SpeedMeasure(measure.masses[keep])
-    return Restriction(sub, sub_m, keep.astype(np.int64))
+    keep = np.flatnonzero(tree.height <= radius + FLOAT_SLACK)
+    # heights grow along root segments, so parents of kept vertices are kept
+    new_of = np.searchsorted(keep, tree.parent[keep])
+    sub = build_tree(new_of, tree.edge_length[keep],
+                     int(np.searchsorted(keep, tree.root)))
+    return Restriction(sub, SpeedMeasure(measure.masses[keep]), keep)
 
 
 def branch_closure(tree: RootedMetricTree, subset: Iterable[int]) -> np.ndarray:
@@ -700,14 +698,13 @@ def spanned_subtree(tree: RootedMetricTree, subset: Iterable[int]):
     # in a closed set the meet with the previous vertex in first-visit
     # order is the deepest proper subset ancestor
     order = _euler_sorted(tree, s_arr)
-    up = tree.lca(order[:-1], order[1:])
-    new_of = {v: i for i, v in enumerate(s_arr.tolist())}
-    parents = {}
-    lengths = {}
-    for v, u in zip(order[1:].tolist(), up.tolist()):
-        parents[new_of[v]] = new_of[u]
-        lengths[new_of[v]] = float(tree.height[v] - tree.height[u])
-    sub = build_tree(parents, lengths, new_of[tree.root])
+    kids, up = order[1:], tree.lca(order[:-1], order[1:])
+    at = np.searchsorted(s_arr, kids)
+    parents = np.zeros(len(s_arr), dtype=np.int64)
+    parents[at] = np.searchsorted(s_arr, up)
+    lengths = np.zeros(len(s_arr))
+    lengths[at] = tree.height[kids] - tree.height[up]
+    sub = build_tree(parents, lengths, int(np.searchsorted(s_arr, tree.root)))
     return sub, s_arr
 
 
@@ -733,14 +730,15 @@ def epsilon_net(tree: RootedMetricTree, eps: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Projection:
+class Discretization:
+    subset: np.ndarray         # sorted subset ids, the root among them
     psi: np.ndarray            # psi[x] = deepest subset vertex on the root segment of x
     pushforward: SpeedMeasure  # masses moved onto the subset, ambient ids
     max_displacement: float
 
 
 def project_psi(tree: RootedMetricTree, measure: SpeedMeasure,
-                subset: Iterable[int]) -> Projection:
+                subset: Iterable[int]) -> Discretization:
     """Root-ward projection onto a subset and the measure pushforward."""
     s = _rooted_subset(tree, subset)
     in_s = np.zeros(tree.n, dtype=bool)
@@ -749,31 +747,23 @@ def project_psi(tree: RootedMetricTree, measure: SpeedMeasure,
     pushed = np.zeros(tree.n, dtype=np.float64)
     np.add.at(pushed, psi, measure.masses)
     disp = tree.distance(np.arange(tree.n), psi).max()
-    return Projection(psi=psi, pushforward=SpeedMeasure(pushed),
-                      max_displacement=float(disp))
+    return Discretization(subset=s, psi=psi, pushforward=SpeedMeasure(pushed),
+                          max_displacement=float(disp))
 
 
 def _root_ward(tree: RootedMetricTree, in_s: np.ndarray) -> np.ndarray:
     """Deepest marked vertex on each root segment, in one top-down pass.
 
-    First-visit order lists every parent before its children; the root must
-    be marked.
+    The preorder lists every parent before its children; the root must be
+    marked.
     """
     psi = list(range(tree.n))
     parent = tree.parent.tolist()
     marked = in_s.tolist()
-    for v in np.argsort(tree._tables().first).tolist():
+    for v in tree.order.tolist():
         if not marked[v]:
             psi[v] = psi[parent[v]]
     return np.array(psi, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class Discretization:
-    subset: np.ndarray
-    psi: np.ndarray
-    pushforward: SpeedMeasure
-    max_displacement: float
 
 
 def discretize(tree: RootedMetricTree, measure: SpeedMeasure,
@@ -807,11 +797,7 @@ def discretize(tree: RootedMetricTree, measure: SpeedMeasure,
         added = in_s.copy()
         added[top] = True
         in_s[branch_closure(tree, np.flatnonzero(added))] = True
-    sub_arr = np.flatnonzero(in_s)
-    proj = project_psi(tree, measure, sub_arr)
-    return Discretization(subset=sub_arr, psi=proj.psi,
-                          pushforward=proj.pushforward,
-                          max_displacement=proj.max_displacement)
+    return project_psi(tree, measure, np.flatnonzero(in_s))
 
 
 # -- interchange format ------------------------------------------------------
@@ -825,51 +811,61 @@ def save_tree(path, tree: RootedMetricTree, measure: Optional[SpeedMeasure] = No
     carry 17 significant digits so round-trips are exact.
     """
     lines = [f"tree v1 {tree.n} {tree.root}"]
-    for v in range(tree.n):
-        if v == tree.root:
-            continue
-        lines.append(f"{v} {int(tree.parent[v])} {float(tree.edge_length[v]):.17g}")
+    lines += [f"{v} {p} {ell:.17g}" for v, p, ell in tree.edges()]
     if measure is not None:
         if len(measure) != tree.n:
             raise MeasureError("measure size does not match tree")
-        for v in range(tree.n):
-            lines.append(f"mass {v} {float(measure.masses[v]):.17g}")
+        lines += [f"mass {v} {m:.17g}" for v, m in enumerate(measure.masses.tolist())]
     text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
 
 
 def load_tree(path):
-    """Parse the interchange format; returns (tree, measure or None)."""
+    """Parse the interchange format; returns (tree, measure or None).
+
+    A field that does not parse, a vertex id outside 0..n-1, or a second
+    edge or mass line for one vertex raises TreeError naming the line.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
-    lines = [ln.strip() for ln in raw if ln.strip()]
+        lines = [(no, ln.split()) for no, ln in enumerate(fh.read().splitlines(), 1)
+                 if ln.strip()]
     if not lines:
         raise TreeError("empty tree file")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "tree" or head[1] != "v1":
-        raise TreeError(f"bad header: {lines[0]!r}")
-    n, root = int(head[2]), int(head[3])
+    no, head = lines[0]
+    if len(head) != 4 or head[:2] != ["tree", "v1"]:
+        raise TreeError(f"bad header: {' '.join(head)!r}")
+    n = _field(no, "n", head[2], int)
+    root = _field(no, "root", head[3], int, n)
     parents: dict[int, int] = {}
     lengths: dict[int, float] = {}
     masses: dict[int, float] = {}
-    saw_mass = False
-    for idx, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if parts[0] == "mass":
-            if len(parts) != 3:
-                raise TreeError(f"line {idx}: bad mass line {ln!r}")
-            saw_mass = True
-            masses[int(parts[1])] = float(parts[2])
-            continue
+    for no, parts in lines[1:]:
+        kind = "mass" if parts[0] == "mass" else "edge"
         if len(parts) != 3:
-            raise TreeError(f"line {idx}: bad edge line {ln!r}")
-        v = int(parts[0])
-        parents[v] = int(parts[1])
-        lengths[v] = float(parts[2])
+            raise TreeError(f"line {no}: bad {kind} line {' '.join(parts)!r}")
+        v = _field(no, "vertex", parts[1] if kind == "mass" else parts[0], int, n)
+        if v in (masses if kind == "mass" else parents):
+            raise TreeError(f"line {no}: second {kind} line for vertex {v}")
+        if kind == "mass":
+            masses[v] = _field(no, "mass", parts[2], float)
+        else:
+            parents[v] = _field(no, "parent", parts[1], int, n)
+            lengths[v] = _field(no, "length", parts[2], float)
     if set(parents) != set(range(n)) - {root}:
         raise TreeError("edge lines do not cover exactly the non-root vertices")
     tree = build_tree(parents, lengths, root)
-    if not saw_mass:
-        return tree, None
-    return tree, SpeedMeasure.from_dict(n, masses)
+    return tree, (SpeedMeasure.from_dict(n, masses) if masses else None)
+
+
+def _field(no: int, what: str, text: str, kind, n: Optional[int] = None):
+    """A field of line ``no`` of a tree file read as ``kind``; a vertex id
+    (``n`` given) must lie in 0..n-1."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise TreeError(f"line {no}: {what} {text!r} is not "
+                        f"{'an integer' if kind is int else 'a number'}") from None
+    if n is not None and not 0 <= value < n:
+        raise TreeError(f"line {no}: {what} {value} outside vertex range 0..{n - 1}")
+    return value

@@ -473,6 +473,23 @@ class TestCoalescent:
         with pytest.raises(FamilyError):
             coalescent_speed_measure(ct.tree, "branch-atomic")
 
+    @pytest.mark.parametrize("spec", [CoalescentSpec.kingman(30),
+                                      CoalescentSpec.beta(25, 1.2, 0.8),
+                                      CoalescentSpec.point_masses(20, [(0.6, 2.0)])])
+    def test_speed_measure_bits_from_leaf_counts(self, spec):
+        ct = coalescent_tree(spec, seed=5)
+        tree, n = ct.tree, ct.n_leaves
+        below = np.zeros(tree.n)
+        for leaf in ct.leaves:
+            below[tree.ancestors(leaf)] += 1.0
+        want = below / n * tree.edge_length
+        dens = coalescent_speed_measure(ct, "skeleton-density")
+        atom = coalescent_speed_measure(ct, "branch-atomic")
+        assert dens.masses.tolist() == want.tolist()
+        want[:n] = 0.0
+        want[tree.root] = 1.0
+        assert atom.masses.tolist() == want.tolist()
+
     def test_leaf_fraction_monotone_to_root(self):
         ct = coalescent_tree(CoalescentSpec.beta(12, 2.0, 2.0), seed=8)
         tree = ct.tree

@@ -1068,6 +1068,16 @@ class TestCLI:
         assert rc == 3
         assert "fdd crashed: RuntimeError: solver exploded" in err
 
+    @pytest.mark.parametrize("experiment", ["stone", "crt", "fdd", "verify",
+                                            "binary-entrance", "coalescent"])
+    def test_dump_paths_rejected_without_paths(self, tmp_path, capsys,
+                                               experiment):
+        rc = cli_main([experiment, "--dump-paths", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config error: --dump-paths" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_experiment_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             cli_main(["frobnicate"])

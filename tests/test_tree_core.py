@@ -5,6 +5,7 @@ import pytest
 
 from treeflow.tree import (
     FLOAT_SLACK,
+    _EulerTable,
     _distinct_quadruples,
     MeasureError,
     SpeedMeasure,
@@ -63,6 +64,8 @@ class TestBuild:
     def test_cycle_rejected(self):
         with pytest.raises(TreeError):
             build_tree({1: 2, 2: 1}, {1: 1.0, 2: 1.0}, 0)
+        with pytest.raises(TreeError, match="cycle"):
+            build_tree({1: 1}, {1: 1.0}, 0)
 
     def test_nonpositive_length_rejected(self):
         with pytest.raises(TreeError):
@@ -77,6 +80,102 @@ class TestBuild:
     def test_noncontiguous_ids_rejected(self):
         with pytest.raises(TreeError):
             build_tree({5: 0}, {5: 1.0}, 0)
+
+
+def euler_oracle(tree):
+    """Literal recursive depth-first walk, children by ascending id: the
+    preorder, depths, heights, subtree sizes, Euler tour and each vertex's
+    first and last tour position."""
+    n = tree.n
+    kids = [[] for _ in range(n)]
+    for v in range(n):
+        if v != tree.root:
+            kids[int(tree.parent[v])].append(v)
+    order, tour = [], []
+    first, last, size = [0] * n, [0] * n, [1] * n
+    depth, height = [0] * n, [0.0] * n
+
+    def visit(v):
+        order.append(v)
+        first[v] = len(tour)
+        tour.append(v)
+        for c in kids[v]:
+            depth[c] = depth[v] + 1
+            height[c] = height[v] + float(tree.edge_length[c])
+            visit(c)
+            size[v] += size[c]
+            tour.append(v)
+        last[v] = len(tour) - 1
+
+    visit(tree.root)
+    return dict(order=order, depth=depth, height=height, size=size,
+                tour=tour, first=first, last=last)
+
+
+def relabelled_random_tree(rng, n):
+    """Random recursive tree under a uniform relabelling, so the root and
+    the order of ids among siblings are arbitrary."""
+    label = rng.permutation(n)
+    parents = {int(label[v]): int(label[rng.integers(0, v)]) for v in range(1, n)}
+    lengths = {v: float(rng.uniform(0.2, 1.5)) for v in parents}
+    return build_tree(parents, lengths, int(label[0]))
+
+
+def preorder_cases(rng):
+    k = 9
+    middle = {v: v + 1 for v in range(4)} | {v: v - 1 for v in range(5, k)}
+    star_at_leaf = {0: 3} | {v: 0 for v in range(1, 7) if v != 3}
+    # spine 0, 3, 6, ... with two legs each; legs carry the other ids
+    caterpillar = {}
+    for s in range(0, 15, 3):
+        if s:
+            caterpillar[s] = s - 3
+        caterpillar[s + 1] = caterpillar[s + 2] = s
+    return ([build_tree({}, {}, 0),
+             path_tree([0.5] * 12),
+             build_tree(middle, {v: 0.25 * (v + 1) for v in middle}, 4),
+             star_tree(7),
+             build_tree(star_at_leaf, {v: 1.0 for v in star_at_leaf}, 3),
+             build_tree(caterpillar, {v: 1.0 + 0.1 * v for v in caterpillar}, 0)]
+            + [relabelled_random_tree(rng, n) for n in (2, 3, 10, 40, 200)]
+            + [random_tree(rng, 60)])
+
+
+class TestPreorder:
+    """The one depth-first pass and the Euler table read off it, against a
+    literal recursive walk."""
+
+    def test_pass_matches_recursive_walk(self, rng):
+        for t in preorder_cases(rng):
+            want = euler_oracle(t)
+            assert t.order.tolist() == want["order"]
+            assert t.depth.tolist() == want["depth"]
+            assert t.height.tolist() == want["height"]
+            assert t.size.tolist() == want["size"]
+
+    def test_order_is_preorder_with_ascending_children(self, rng):
+        for t in preorder_cases(rng):
+            pre = np.empty(t.n, dtype=np.int64)
+            pre[t.order] = np.arange(t.n)
+            assert t.order[0] == t.root
+            for v in range(t.n):
+                kids = t.children(v)
+                assert np.all(np.diff(kids) > 0)
+                assert np.all(np.diff(pre[kids]) > 0)
+                assert np.all(pre[kids] > pre[v])
+                # v's subtree is the preorder window [pre, pre + size)
+                window = t.order[pre[v]:pre[v] + t.size[v]]
+                below = [u for u in range(t.n) if v in t.ancestors(u)]
+                assert sorted(window.tolist()) == below
+
+    def test_tour_matches_recursive_walk(self, rng):
+        for t in preorder_cases(rng):
+            want = euler_oracle(t)
+            tab = _EulerTable(t)
+            assert (tab.keys[:tab.width] & tab.mask).tolist() == want["tour"]
+            assert tab.first.tolist() == want["first"]
+            assert tab.last.tolist() == want["last"]
+            assert tab.first_list == want["first"]
 
 
 class TestDistance:
@@ -610,8 +709,42 @@ class TestInterchange:
         with pytest.raises(TreeError):
             load_tree(p)
 
+    @pytest.mark.parametrize("line, message", [
+        ("mass -1 2.0", "line 5: vertex -1 outside vertex range 0..2"),
+        ("mass 3 2.0", "line 5: vertex 3 outside vertex range 0..2"),
+        ("mass 1 2.0", "line 6: second mass line for vertex 1"),
+        ("2 0 1.0", "line 5: second edge line for vertex 2"),
+        ("3 0 1.0", "line 5: vertex 3 outside vertex range 0..2"),
+        ("mass 2 heavy", "line 5: mass 'heavy' is not a number"),
+        ("mass x 1.0", "line 5: vertex 'x' is not an integer"),
+    ])
+    def test_bad_line_named(self, tmp_path, line, message):
+        # the blank third line still counts toward the line numbers
+        p = tmp_path / "bad.tree"
+        p.write_text(f"tree v1 3 0\n1 0 1.0\n\n2 1 0.5\n{line}\nmass 1 1.0\n")
+        with pytest.raises(TreeError, match=message):
+            load_tree(p)
+
+    @pytest.mark.parametrize("text, message", [
+        ("tree v1 three 0\n", "line 1: n 'three' is not an integer"),
+        ("tree v1 2 2\n1 0 1.0\n", "line 1: root 2 outside vertex range 0..1"),
+        ("tree v1 2 0\n1 zero 1.0\n", "line 2: parent 'zero' is not an integer"),
+        ("tree v1 2 0\n1 0 long\n", "line 2: length 'long' is not a number"),
+        ("tree v1 2 0\n1 2 1.0\n", "line 2: parent 2 outside vertex range 0..1"),
+    ])
+    def test_bad_field_named(self, tmp_path, text, message):
+        p = tmp_path / "bad.tree"
+        p.write_text(text)
+        with pytest.raises(TreeError, match=message):
+            load_tree(p)
+
 
 class TestSpeedMeasure:
+    @pytest.mark.parametrize("vertex", [-1, 3])
+    def test_from_dict_rejects_ids_out_of_range(self, vertex):
+        with pytest.raises(MeasureError, match=f"vertex {vertex} outside"):
+            SpeedMeasure.from_dict(3, {0: 1.0, vertex: 2.0})
+
     def test_negative_rejected(self):
         with pytest.raises(MeasureError):
             SpeedMeasure([1.0, -0.5])
