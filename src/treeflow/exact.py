@@ -239,12 +239,13 @@ POISSON_TAIL = 1e-12
 
 @dataclass
 class HeatKernelResult:
-    """One-time marginal laws P_t(x, .) over chain states, one row per time."""
+    """One-time marginal laws P_t(x, .) over chain states, shaped like
+    transition_laws: one (starts, states) block per time."""
 
     chain: WalkChain
-    start: int
+    starts: list
     times: list
-    laws: np.ndarray          # shape (len(times), n_states)
+    laws: np.ndarray          # shape (len(times), len(starts), n_states)
     uniformization_rate: float
     terms: int
 
@@ -346,36 +347,42 @@ def transition_laws(chain: WalkChain, starts, times) -> np.ndarray:
     return out
 
 
-def heat_kernel(chain: WalkChain, start: int, times) -> HeatKernelResult:
+def heat_kernel(chain: WalkChain, starts, times) -> HeatKernelResult:
     """Laws of the walk at fixed times by uniformized series; no time stepping.
 
-    The independent oracle for transition_laws, which is the engine:
+    The independent oracle for transition_laws, which is the engine, and
+    shaped like it: laws[j, k] is P_t(x, .) for t = times[j], x = starts[k].
 
     P_t = sum_k Poisson(k; L t) B^k with B = I + Q / L and L just above the
-    top exit rate.  Terms are added until the Poisson weights of every
-    requested time have absorbed all but 1e-12 of their mass, with weights
-    computed in log space so large L t cannot underflow.  A time whose sum
-    stalls below that in floating point is finished once k is past its
-    mean a = L t and its weight has underflowed to 0.0: past the mode the
-    weights only fall.  The Chernoff bound on the Poisson tail puts that
-    underflow (log weight below -746) within a + 39 sqrt(a) + 498, so
+    top exit rate.  The Poisson weights depend on the times only, so one
+    loop over them moves every start at once: a (starts, 1, n) stack times
+    B, which gives each start's row the bits of a one-start product, as a
+    2-D (starts, n) product would not.  Terms are added until the Poisson
+    weights of every requested time have absorbed all but 1e-12 of their
+    mass, with weights computed in log space so large L t cannot underflow.
+    A time whose sum stalls below that in floating point is finished once k
+    is past its mean a = L t and its weight has underflowed to 0.0: past
+    the mode the weights only fall.  The Chernoff bound on the Poisson tail
+    puts that underflow (log weight below -746) within a + 39 sqrt(a) + 498,
+    so
 
         terms <= a_max + 39 * sqrt(a_max) + 499,   a_max = L * max(times),
 
-    for finite nonnegative times; others, and a start that is not a chain
-    state, raise OracleError.  B is held dense, O(n^2) memory for n states:
-    the oracle runs on small chains, where a dense matvec beats a sparse one.
+    whatever the number of starts, for finite nonnegative times; others,
+    and a start that is not a chain state, raise OracleError.  B is held
+    dense: memory is O(n^2 + starts * n * times) for n states, and the
+    oracle runs on small chains, where a dense product beats a sparse one.
     """
-    (first,), tlist = _law_inputs(chain, (start,), times)
+    idx, tlist = _law_inputs(chain, starts, times)
     n = chain.n_states
     lam = 1.1 * float(chain.exit_rate.max())
     b = (sp.identity(n, format="csr") + chain.generator / lam).toarray()
 
-    out = np.zeros((len(tlist), n))
+    out = np.zeros((len(tlist), len(idx), n))
     cum = np.zeros(len(tlist))
     lt = np.array([lam * t for t in tlist])
-    psi = np.zeros(n)
-    psi[first] = 1.0
+    psi = np.zeros((len(idx), 1, n))
+    psi[np.arange(len(idx)), 0, idx] = 1.0
     finished = [False] * len(tlist)
     k = 0
     while True:
@@ -387,7 +394,7 @@ def heat_kernel(chain: WalkChain, start: int, times) -> HeatKernelResult:
             else:
                 w = math.exp(k * math.log(a) - a - math.lgamma(k + 1))
             if w > 0.0:
-                out[i] += w * psi
+                out[i] += w * psi[:, 0]
                 cum[i] += w
             finished[i] = cum[i] >= 1.0 - POISSON_TAIL or (k > a and w == 0.0)
         if all(finished):
@@ -395,6 +402,7 @@ def heat_kernel(chain: WalkChain, start: int, times) -> HeatKernelResult:
         psi = psi @ b
         k += 1
     # renormalize the truncated tail so each row is an exact distribution
-    out /= out.sum(axis=1, keepdims=True)
-    return HeatKernelResult(chain=chain, start=int(start), times=tlist,
-                            laws=out, uniformization_rate=lam, terms=k)
+    out /= out.sum(axis=2, keepdims=True)
+    return HeatKernelResult(chain=chain, starts=chain.states[idx].tolist(),
+                            times=tlist, laws=out, uniformization_rate=lam,
+                            terms=k)

@@ -96,6 +96,31 @@ def tree_metric(tree: RootedMetricTree) -> TreeMetric:
     return TreeMetric(tree)
 
 
+def _pair_dists(dist, ps, qs, values=None) -> np.ndarray:
+    """dist(p, q) over the pairs zip(ps, qs) as a float array.
+
+    ``values``, when given, holds those distances already and is checked
+    instead of calling ``dist``.  Raises MeasureError naming the first pair
+    whose distance is NaN, infinite or negative.
+    """
+    if values is None:
+        values = [dist(p, q) for p, q in zip(ps, qs)]
+    d = np.asarray(values, dtype=np.float64).ravel()
+    bad = np.flatnonzero(~(np.isfinite(d) & (d >= 0.0)))
+    if len(bad):
+        i = int(bad[0])
+        raise MeasureError(f"distance between {ps[i]!r} and {qs[i]!r} is "
+                           f"{float(d[i])!r}; distances must be finite and "
+                           "nonnegative")
+    return d
+
+
+def _cross(a: FiniteAtomMeasure, b: FiniteAtomMeasure):
+    """Every (p, q) pair of a's and b's points, p-major, as two lists."""
+    return ([p for p in a.points for _ in b.points],
+            [q for _ in a.points for q in b.points])
+
+
 # ------------------------------------------------------------------ Prohorov
 
 def _dinic_flow(na: int, nb: int, src_caps, snk_caps, ii, jj) -> float:
@@ -204,7 +229,9 @@ def prohorov(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist,
     ``dists``, when given, is the precomputed len(mu) x len(nu) distance
     array and ``dist`` is not called.  When ``dist`` is a :class:`TreeMetric`
     whose tree is a path, feasibility runs through the sweep-line greedy on
-    positions along the path instead of the generic flow solver.
+    positions along the path instead of the generic flow solver.  Unless
+    ``dist`` is a TreeMetric, a NaN, infinite or negative distance, from
+    ``dist`` or in ``dists``, raises MeasureError naming its pair.
     """
     if len(mu) == 0 and len(nu) == 0:
         return 0.0
@@ -216,12 +243,13 @@ def prohorov(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist,
         if dists is None:
             dists = dist.tree.distance_block(ids_mu, ids_nu)
     if dists is None:
-        dists = np.array([[dist(p, q) for q in nu.points] for p in mu.points],
-                         dtype=np.float64)
+        dists = _pair_dists(dist, *_cross(mu, nu)).reshape(len(mu), len(nu))
     else:
         dists = np.asarray(dists, dtype=np.float64)
         if dists.shape != (len(mu), len(nu)):
             raise MeasureError("dists must be a len(mu) x len(nu) array")
+        if not isinstance(dist, TreeMetric):
+            _pair_dists(dist, *_cross(mu, nu), values=dists)
     flat = dists.ravel()
     cuts = np.unique(np.concatenate(([0.0], flat)))
     # distances within FLOAT_SLACK of each other are one window, started at
@@ -277,38 +305,56 @@ def prohorov(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist,
     return float(max(candidate(a), 0.0))
 
 
+def _subset_tables(weights, dists: np.ndarray):
+    """Mass of every subset of one side, and its least distance to each
+    atom of the other side, indexed by the subset's bitmask.
+
+    Row S + 2^i extends row S (S < 2^i) by atom i, so each mass is summed
+    in ascending atom order, as ``sum`` over the subset would be.
+    """
+    k = len(weights)
+    mass = np.zeros(1 << k)
+    least = np.full((1 << k, dists.shape[1]), math.inf)
+    for i in range(k):
+        mass[1 << i:2 << i] = mass[:1 << i] + weights[i]
+        least[1 << i:2 << i] = np.minimum(least[:1 << i], dists[i])
+    return mass, least
+
+
 def prohorov_bruteforce(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure,
                         dist) -> float:
     """Literal definition over all subsets; oracle for small supports only.
 
-    Each side has at most 10 atoms.  A probe of one eps tries the 2^k - 1
-    nonempty subsets of each side (k its atom count), and the bisection
-    makes at most 81 probes.
+    eps is feasible when every subset S of either side has mass(S) at most
+    eps plus the mass of the other side's atoms within eps of S, both up
+    to FLOAT_SLACK; the answer is bisected on eps.  Each side has at most
+    10 atoms.  Two 2^k x k' tables per side (k its atom count, k' the
+    other side's) are built once: every subset's mass and every subset's
+    least distance to each atom of the other side.  Each of the at most 81
+    probes then costs O(2^k k') per side: the covered atoms of every subset
+    as one integer mask, and their mass by one lookup.  A NaN, infinite or
+    negative distance raises MeasureError naming its pair.
     """
     if len(mu) > 10 or len(nu) > 10:
         raise MeasureError("brute-force check is limited to 10 atoms per side")
     if len(mu) == 0 and len(nu) == 0:
         return 0.0
-
-    def enlarged(points, other, eps):
-        return sum(w for q, w in zip(other.points, other.weights)
-                   if any(dist(p, q) <= eps + FLOAT_SLACK for p in points))
-
-    def one_sided(a: FiniteAtomMeasure, b: FiniteAtomMeasure, eps: float) -> bool:
-        idx = range(len(a))
-        for r in range(1, len(a) + 1):
-            for sub in itertools.combinations(idx, r):
-                pts = [a.points[i] for i in sub]
-                massa = sum(a.weights[i] for i in sub)
-                if massa > enlarged(pts, b, eps) + eps + FLOAT_SLACK:
-                    return False
-        return True
+    d = _pair_dists(dist, *_cross(mu, nu)).reshape(len(mu), len(nu))
+    d_back = _pair_dists(dist, *_cross(nu, mu)).reshape(len(nu), len(mu))
+    mass_mu, least_mu = _subset_tables(mu.weights, d)
+    mass_nu, least_nu = _subset_tables(nu.weights, d_back)
+    bits_mu, bits_nu = 1 << np.arange(len(mu)), 1 << np.arange(len(nu))
+    sides = ((mass_mu, least_mu, bits_nu, mass_nu),
+             (mass_nu, least_nu, bits_mu, mass_mu))
 
     def ok(eps: float) -> bool:
-        return one_sided(mu, nu, eps) and one_sided(nu, mu, eps)
+        for mass, least, bits, other_mass in sides:
+            cover = (least <= eps + FLOAT_SLACK) @ bits
+            if np.any(mass > other_mass[cover] + eps + FLOAT_SLACK):
+                return False
+        return True
 
-    hi = max([mu.total, nu.total]
-             + [dist(p, q) for p in mu.points for q in nu.points])
+    hi = max([mu.total, nu.total] + d.ravel().tolist())
     if ok(0.0):
         return 0.0
     lo = 0.0
@@ -349,7 +395,8 @@ def kr_distance(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist) -> float:
     For a :class:`TreeMetric`, f lives on the branch closure of the support
     and the root, and only the edges of the subtree it spans are
     constrained: geodesics run along them (Evans & Matsen, JRSS-B 74(3),
-    2012).  Any other callable constrains all pairs.
+    2012).  Any other callable constrains all pairs, and a NaN, infinite
+    or negative distance from it raises MeasureError naming its pair.
     """
     support = list(dict.fromkeys(list(mu.points) + list(nu.points)))
     if isinstance(dist, TreeMetric):
@@ -376,8 +423,7 @@ def kr_distance(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist) -> float:
         return float(abs(w[0]))
     if not isinstance(dist, TreeMetric):
         pi, pj = np.triu_indices(n, 1)
-        d = np.array([dist(support[i], support[j]) for i, j in zip(pi, pj)],
-                     dtype=np.float64)
+        d = _pair_dists(dist, [support[i] for i in pi], [support[j] for j in pj])
     # pair k gives rows 2k (f_i - f_j <= d) and 2k + 1 (f_j - f_i <= d)
     k2 = 2 * np.arange(len(pi))
     rows_i = np.stack((k2, k2, k2 + 1, k2 + 1), axis=1).ravel()
@@ -398,7 +444,8 @@ def kr_bruteforce(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist) -> float:
     On a union support of n <= 5 points the polytope has n(n + 1) rows, and
     every one of the C(n(n + 1), n) row subsets is tried as a vertex: at most
     142,506 at n = 5.  Subsets are drawn SUBSET_BLOCK at a time, so memory is
-    one chunk of stacked n x n systems, never the whole subset list.
+    one chunk of stacked n x n systems, never the whole subset list.  A
+    NaN, infinite or negative distance raises MeasureError naming its pair.
     """
     support = list(dict.fromkeys(list(mu.points) + list(nu.points)))
     n = len(support)
@@ -417,13 +464,13 @@ def kr_bruteforce(mu: FiniteAtomMeasure, nu: FiniteAtomMeasure, dist) -> float:
         e[i] = 1.0
         rows += [e.copy(), -e]
         rhs += [1.0, 1.0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = dist(support[i], support[j])
-            e = np.zeros(n)
-            e[i], e[j] = 1.0, -1.0
-            rows += [e.copy(), -e]
-            rhs += [d, d]
+    pi, pj = np.triu_indices(n, 1)
+    dists = _pair_dists(dist, [support[i] for i in pi], [support[j] for j in pj])
+    for i, j, d in zip(pi, pj, dists.tolist()):
+        e = np.zeros(n)
+        e[i], e[j] = 1.0, -1.0
+        rows += [e.copy(), -e]
+        rhs += [d, d]
     rows = np.array(rows)
     rhs = np.array(rhs)
     best = -math.inf

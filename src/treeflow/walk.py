@@ -115,7 +115,12 @@ class WalkChain:
         return int(self.states[np.flatnonzero(d >= d.max() - FLOAT_SLACK)[0]])
 
     def diameter(self) -> float:
-        """Diameter of the state set in the ambient tree metric (double sweep)."""
+        """Diameter of the state set in the ambient tree metric (double
+        sweep, run once per chain)."""
+        return self._diameter
+
+    @cached_property
+    def _diameter(self) -> float:
         if self.n_states <= 1:
             return 0.0
         a = int(self.states[0])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from treeflow import exact
 from treeflow.exact import (
@@ -265,9 +266,9 @@ class TestHeatKernel:
         t = path_tree([1.0])
         chain = build_chain(t, SpeedMeasure([1.0, 1.0]))
         times = [0.0, 0.3, 1.0, 4.0]
-        hk = heat_kernel(chain, 0, times)
+        hk = heat_kernel(chain, [0], times)
         for i, s in enumerate(times):
-            assert hk.laws[i][chain.index[0]] == pytest.approx(
+            assert hk.laws[i, 0, chain.index[0]] == pytest.approx(
                 (1 + math.exp(-s)) / 2, abs=1e-12)
 
     def test_matches_matrix_exponential(self, rng):
@@ -277,19 +278,16 @@ class TestHeatKernel:
             m = random_masses(rng, n)
             chain = build_chain(t, m)
             q = dense_generator(chain)
-            for s in (0.2, 1.0, 3.7):
-                hk = heat_kernel(chain, int(chain.states[0]), [s])
-                want = scipy.linalg.expm(q * s)[0]
-                assert np.allclose(hk.laws[0], want, atol=1e-9)
+            hk = heat_kernel(chain, chain.states, (0.2, 1.0, 3.7))
+            for s, laws in zip(hk.times, hk.laws):
+                assert np.allclose(laws, scipy.linalg.expm(q * s), atol=1e-9)
 
     def test_chapman_kolmogorov(self, rng):
         t = random_tree(rng, 6)
         m = random_masses(rng, 6)
         chain = build_chain(t, m)
         a, b = 0.7, 1.3
-        rows_a = np.array([heat_kernel(chain, v, [a]).laws[0] for v in range(6)])
-        rows_b = np.array([heat_kernel(chain, v, [b]).laws[0] for v in range(6)])
-        rows_ab = np.array([heat_kernel(chain, v, [a + b]).laws[0] for v in range(6)])
+        rows_a, rows_b, rows_ab = heat_kernel(chain, range(6), [a, b, a + b]).laws
         assert np.allclose(rows_a @ rows_b, rows_ab, atol=1e-10)
 
     def test_reversibility_symmetry(self, rng):
@@ -297,16 +295,15 @@ class TestHeatKernel:
         m = random_masses(rng, 7)
         chain = build_chain(t, m)
         # density p_t(x, y) = P_t(x, y) / mass(y)
-        density = np.array([heat_kernel(chain, x, [0.9]).laws[0] / chain.mass
-                            for x in chain.states])
+        density = heat_kernel(chain, chain.states, [0.9]).laws[0] / chain.mass
         assert np.allclose(density, density.T, rtol=1e-8, atol=0.0)
 
     def test_mass_and_long_time_limit(self, rng):
         t = random_tree(rng, 8)
         m = random_masses(rng, 8)
         chain = build_chain(t, m)
-        hk = heat_kernel(chain, 0, [500.0])
-        assert np.abs(hk.laws.sum(axis=1) - 1.0).max() <= 1e-10
+        hk = heat_kernel(chain, chain.states, [500.0])
+        assert np.abs(hk.laws.sum(axis=2) - 1.0).max() <= 1e-10
         stat = chain.mass / chain.total_mass
         assert np.allclose(hk.laws[0], stat, atol=1e-8)
 
@@ -315,26 +312,26 @@ class TestHeatKernel:
         t = path_tree([1e-3, 1e-3, 1e-3])
         m = SpeedMeasure([0.1, 0.1, 0.1, 0.1])
         chain = build_chain(t, m)
-        hk = heat_kernel(chain, 0, [30.0])
+        hk = heat_kernel(chain, [0], [30.0])
         stat = chain.mass / chain.total_mass
-        assert np.allclose(hk.laws[0], stat, atol=1e-6)
-        assert np.abs(hk.laws.sum(axis=1) - 1.0).max() <= 1e-10
+        assert np.allclose(hk.laws[0, 0], stat, atol=1e-6)
+        assert np.abs(hk.laws.sum(axis=2) - 1.0).max() <= 1e-10
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
     def test_non_finite_time_rejected(self, bad):
         chain = build_chain(path_tree([1.0]), SpeedMeasure([1.0, 1.0]))
         with pytest.raises(OracleError, match=repr(bad)):
-            heat_kernel(chain, 0, [0.5, bad])
+            heat_kernel(chain, [0], [0.5, bad])
 
     def test_stalled_series_terminates(self):
         # at L t ~ 8598 the Poisson sum stalls just below 1 - 1e-12 in
         # floating point while the weights underflow to zero
         tree, measure, _ = stone_level(16)
         chain = build_chain(tree, measure)
-        hk = heat_kernel(chain, tree.root, (0.25, 1.0))
+        hk = heat_kernel(chain, [tree.root], (0.25, 1.0))
         a = hk.uniformization_rate * 1.0
         assert hk.terms <= a + 39.0 * math.sqrt(a) + 499.0
-        assert np.allclose(hk.laws.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert np.allclose(hk.laws.sum(axis=2), 1.0, rtol=0.0, atol=1e-12)
 
     def test_l2_norm_below_ceiling(self, rng):
         for _ in range(6):
@@ -342,17 +339,18 @@ class TestHeatKernel:
             t = random_tree(rng, n)
             m = random_masses(rng, n)
             chain = build_chain(t, m)
-            hk = heat_kernel(chain, int(chain.states[0]), [0.05, 0.3, 1.0, 5.0, 50.0])
-            for s, row in zip(hk.times, hk.laws):
-                assert np.sum(row * row / chain.mass) <= exact.l2_bound(chain, s) + 1e-9
+            hk = heat_kernel(chain, chain.states, [0.05, 0.3, 1.0, 5.0, 50.0])
+            for s, laws in zip(hk.times, hk.laws):
+                norms = np.sum(laws * laws / chain.mass, axis=1)
+                assert norms.max() <= exact.l2_bound(chain, s) + 1e-9
 
     def test_set_prob_bound_dominates(self, rng):
         t = random_tree(rng, 8)
         m = random_masses(rng, 8)
         chain = build_chain(t, m)
-        hk = heat_kernel(chain, 2, [0.5, 2.0])
+        hk = heat_kernel(chain, [2], [0.5, 2.0])
         subset = [0, 3, 5]
-        for s, row in zip(hk.times, hk.laws):
+        for s, row in zip(hk.times, hk.laws[:, 0]):
             p = sum(row[chain.index[v]] for v in subset)
             assert p <= exact.set_prob_bound(chain, s, subset) + 1e-12
 
@@ -372,17 +370,98 @@ class TestHeatKernel:
         t = path_tree([1.0])
         chain = build_chain(t, SpeedMeasure([1.0, 1.0]))
         with pytest.raises(OracleError):
-            heat_kernel(chain, 5, [1.0])
+            heat_kernel(chain, [0, 5], [1.0])
         with pytest.raises(OracleError):
-            heat_kernel(chain, 0, [])
+            heat_kernel(chain, [0], [])
         with pytest.raises(OracleError):
-            heat_kernel(chain, 0, [-1.0])
+            heat_kernel(chain, [0], [-1.0])
 
 
 def series_laws(chain, times):
     """Series laws from every start, shaped like transition_laws."""
-    rows = [heat_kernel(chain, int(s), times).laws for s in chain.states]
-    return np.stack(rows, axis=1)
+    return heat_kernel(chain, chain.states, times).laws
+
+
+def series_one_start(chain, start, times):
+    """Reference for heat_kernel: the series from one start, one vector
+    times the dense step matrix per term.  Returns (laws, terms), laws
+    shaped (times, states)."""
+    lam = 1.1 * float(chain.exit_rate.max())
+    n = chain.n_states
+    b = (sp.identity(n, format="csr") + chain.generator / lam).toarray()
+    out = np.zeros((len(times), n))
+    cum = np.zeros(len(times))
+    psi = np.zeros(n)
+    psi[chain.index[start]] = 1.0
+    finished = [False] * len(times)
+    k = 0
+    while True:
+        for i, t in enumerate(times):
+            a = lam * t
+            if finished[i]:
+                continue
+            if a == 0.0:
+                w = 1.0 if k == 0 else 0.0
+            else:
+                w = math.exp(k * math.log(a) - a - math.lgamma(k + 1))
+            if w > 0.0:
+                out[i] += w * psi
+                cum[i] += w
+            finished[i] = cum[i] >= 1.0 - exact.POISSON_TAIL or (k > a and w == 0.0)
+        if all(finished):
+            break
+        psi = psi @ b
+        k += 1
+    return out / out.sum(axis=1, keepdims=True), k
+
+
+class TestSeriesFromEveryStart:
+    """heat_kernel moves every start at once; each start's laws keep the
+    bits of the one-start series."""
+
+    TIMES = (0.0, 0.2, 1.0, 3.7)
+
+    def assert_bit_equal(self, chain, starts, times=TIMES):
+        got = heat_kernel(chain, starts, times)
+        assert got.laws.shape == (len(times), len(starts), chain.n_states)
+        assert got.starts == [int(s) for s in starts]
+        for k, s in enumerate(starts):
+            want, terms = series_one_start(chain, int(s), times)
+            assert got.terms == terms
+            assert np.array_equal(got.laws[:, k], want)
+
+    def test_random_trees_with_folded_vertices(self, rng):
+        for n in range(3, 17):
+            chain = random_chain(rng, n, zero_frac=0.3)
+            self.assert_bit_equal(chain, chain.states)
+
+    def test_paths(self, rng):
+        for n in (2, 5, 9, 14):
+            chain = build_chain(path_tree(rng.uniform(0.2, 1.5, size=n - 1)),
+                                random_masses(rng, n))
+            self.assert_bit_equal(chain, chain.states)
+
+    def test_time_zero_is_the_start(self, rng):
+        chain = random_chain(rng, 8, zero_frac=0.3)
+        hk = heat_kernel(chain, chain.states, (0.0,))
+        assert hk.terms == 0
+        assert np.array_equal(hk.laws[0], np.eye(chain.n_states))
+
+    def test_repeated_and_reordered_starts(self, rng):
+        chain = random_chain(rng, 10, zero_frac=0.3)
+        s = [int(v) for v in chain.states]
+        starts = [s[2], s[0], s[2], s[-1], s[0]]
+        self.assert_bit_equal(chain, starts)
+        laws = heat_kernel(chain, starts, self.TIMES).laws
+        assert np.array_equal(laws[:, 0], laws[:, 2])
+        assert np.array_equal(laws[:, 1], laws[:, 4])
+
+    def test_one_start_row_matches_the_full_block(self, rng):
+        chain = random_chain(rng, 11, zero_frac=0.3)
+        full = heat_kernel(chain, chain.states, self.TIMES).laws
+        for k, s in enumerate(chain.states):
+            assert np.array_equal(heat_kernel(chain, [s], self.TIMES).laws[:, 0],
+                                  full[:, k])
 
 
 def random_chain(rng, n, zero_frac=0.0):

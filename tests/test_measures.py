@@ -80,6 +80,45 @@ def kr_loop(mu, nu, dist):
     return best
 
 
+def prohorov_loop(mu, nu, dist):
+    """Reference for prohorov_bruteforce: every subset rebuilt and summed
+    in each probe of the bisection."""
+    if len(mu) > 10 or len(nu) > 10:
+        raise MeasureError("brute-force check is limited to 10 atoms per side")
+    if len(mu) == 0 and len(nu) == 0:
+        return 0.0
+    slack = measures.FLOAT_SLACK
+
+    def enlarged(points, other, eps):
+        return sum(w for q, w in zip(other.points, other.weights)
+                   if any(dist(p, q) <= eps + slack for p in points))
+
+    def one_sided(a, b, eps):
+        for r in range(1, len(a) + 1):
+            for sub in itertools.combinations(range(len(a)), r):
+                pts = [a.points[i] for i in sub]
+                massa = sum(a.weights[i] for i in sub)
+                if massa > enlarged(pts, b, eps) + eps + slack:
+                    return False
+        return True
+
+    def ok(eps):
+        return one_sided(mu, nu, eps) and one_sided(nu, mu, eps)
+
+    hi = max([mu.total, nu.total]
+             + [dist(p, q) for p in mu.points for q in nu.points])
+    if ok(0.0):
+        return 0.0
+    lo = 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def split_support(rng, pts):
     """mu on a random nonempty prefix of pts, nu on the rest (may be empty)."""
     k = int(rng.integers(1, len(pts) + 1))
@@ -293,6 +332,96 @@ class TestProhorov:
         monkeypatch.setattr(measures, "_dinic_flow" if is_path else
                             "_interval_flow", refuse)
         assert prohorov(mu, nu, tree_metric(t)) == pytest.approx(want, abs=1e-8)
+
+
+class TestBruteForceProhorov:
+    """prohorov_bruteforce reads subset tables; prohorov_loop is the
+    per-subset twin."""
+
+    def random_pair(self, rng, pts, max_atoms):
+        mu, nu = (FiniteAtomMeasure(
+            tuple(pts[i] for i in sorted(rng.choice(len(pts), size=k,
+                                                    replace=False))),
+            tuple(float(w) for w in rng.uniform(0.1, 1.0, size=k)))
+            for k in rng.integers(0, max_atoms + 1, size=2))
+        return mu, nu
+
+    def test_bit_equal_to_loop_on_lines(self, rng):
+        for _ in range(150):
+            pts = [float(x) for x in rng.uniform(0.0, 3.0, size=8)]
+            mu, nu = self.random_pair(rng, pts, 5)
+            assert prohorov_bruteforce(mu, nu, line_dist) == prohorov_loop(
+                mu, nu, line_dist)
+
+    def test_bit_equal_to_loop_on_a_grid_with_ties(self, rng):
+        # gaps on a 0.25 grid tie exactly, and weights on a grid tie too
+        for _ in range(150):
+            pts = [0.25 * float(x) for x in range(12)]
+            mu, nu = self.random_pair(rng, pts, 5)
+            if rng.random() < 0.5:
+                mu = FiniteAtomMeasure(mu.points, (0.25,) * len(mu))
+            assert prohorov_bruteforce(mu, nu, line_dist) == prohorov_loop(
+                mu, nu, line_dist)
+
+    def test_bit_equal_to_loop_on_trees(self, rng):
+        for _ in range(30):
+            t = random_tree(rng, 12)
+            dist = lambda p, q: t.distance(p, q)
+            mu, nu = self.random_pair(rng, list(range(12)), 5)
+            assert prohorov_bruteforce(mu, nu, dist) == prohorov_loop(mu, nu, dist)
+            assert prohorov_bruteforce(mu, nu, tree_metric(t)) == prohorov_loop(
+                mu, nu, dist)
+
+    def test_bit_equal_at_ten_atoms(self, rng):
+        pts = [float(x) for x in rng.uniform(0.0, 3.0, size=20)]
+        mu = FiniteAtomMeasure(tuple(pts[:10]), tuple(rng.uniform(0.1, 1.0, 10)))
+        nu = FiniteAtomMeasure(tuple(pts[10:13]), tuple(rng.uniform(0.1, 1.0, 3)))
+        assert prohorov_bruteforce(mu, nu, line_dist) == prohorov_loop(
+            mu, nu, line_dist)
+
+    def test_empty_sides(self, rng):
+        empty = FiniteAtomMeasure((), ())
+        assert prohorov_bruteforce(empty, empty, line_dist) == 0.0
+        for _ in range(5):
+            k = int(rng.integers(1, 6))
+            m = FiniteAtomMeasure(tuple(float(x) for x in range(k)),
+                                  tuple(rng.uniform(0.1, 1.0, k)))
+            for mu, nu in ((m, empty), (empty, m)):
+                assert prohorov_bruteforce(mu, nu, line_dist) == prohorov_loop(
+                    mu, nu, line_dist)
+
+    def test_limits(self):
+        eleven = FiniteAtomMeasure(tuple(float(p) for p in range(11)), (1.0,) * 11)
+        for mu, nu in ((eleven, dirac(0.0)), (dirac(0.0), eleven)):
+            with pytest.raises(MeasureError, match="10 atoms per side"):
+                prohorov_bruteforce(mu, nu, line_dist)
+
+
+class TestBadDistances:
+    """A distance that is NaN, infinite or negative is named where it enters."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0],
+                             ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("distance", [prohorov, prohorov_bruteforce,
+                                          kr_distance, kr_bruteforce])
+    def test_rejected_naming_the_pair(self, distance, bad):
+        def dist(p, q):
+            return bad if {p, q} == {1.0, 2.0} else abs(p - q)
+
+        mu = FiniteAtomMeasure((0.0, 1.0), (0.5, 0.5))
+        nu = FiniteAtomMeasure((2.0,), (1.0,))
+        with pytest.raises(MeasureError,
+                           match=rf"between 1.0 and 2.0 is {bad!r}"):
+            distance(mu, nu, dist)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0],
+                             ids=["nan", "inf", "negative"])
+    def test_precomputed_dists_rejected(self, bad):
+        mu = FiniteAtomMeasure((0.0, 1.0), (0.5, 0.5))
+        nu = FiniteAtomMeasure((2.0, 3.0), (0.5, 0.5))
+        dists = np.array([[2.0, 3.0], [1.0, bad]])
+        with pytest.raises(MeasureError, match=rf"between 1.0 and 3.0 is {bad!r}"):
+            prohorov(mu, nu, line_dist, dists=dists)
 
 
 class TestDualDistance:
