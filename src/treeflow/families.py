@@ -406,7 +406,46 @@ class CoalescentTree:
         return [t for t, _, _ in self.events]
 
 
+def _merge_weights(spec: CoalescentSpec, b: int) -> np.ndarray:
+    """Rate at which some k of the current b blocks merge, comb(b, k) *
+    merge_rate(spec, k, b), for k = 2..b.
+
+    Kingman's one nonzero rate is the exact integer comb(b, 2).  The other
+    kinds form each weight in log space, exp(log comb(b, k) + log rate), so
+    no factor overflows at any b: the binomial's log is taken of the exact
+    integer, and Beta's log rate is the same _betaln difference merge_rate
+    exponentiates.  Each weight is at most the total rate, which is finite.
+    """
+    if spec.kind == "kingman":
+        weights = np.zeros(b - 1)
+        weights[0] = float(math.comb(b, 2))
+        return weights
+    log_comb, c = [], b * (b - 1) // 2
+    for k in range(2, b + 1):
+        log_comb.append(math.log(c))
+        c = c * (b - k) // (k + 1)
+    log_comb = np.array(log_comb)
+    if spec.kind == "beta":
+        return np.exp(log_comb + np.array(
+            [_betaln(spec.a + k - 2, spec.b + b - k) - _betaln(spec.a, spec.b)
+             for k in range(2, b + 1)]))
+    k = np.arange(2, b + 1)
+    weights = np.zeros(b - 1)
+    for x, w in spec.atoms:
+        if x == 1.0:
+            weights[-1] += w          # 0^0 = 1: only the full merger
+        else:
+            weights += w * np.exp(log_comb + (k - 2) * math.log(x)
+                                  + (b - k) * math.log1p(-x))
+    return weights
+
+
 def coalescent_tree(spec: CoalescentSpec, seed) -> CoalescentTree:
+    """Genealogy of the spec's block-merging chain, drawn from seed.
+
+    A merge among b blocks takes O(b) arithmetic steps plus O(b k) for the
+    k blocks it merges, so n leaves take O(n^2) steps.
+    """
     rng = rng_from(seed)
     n = spec.n_leaves
     blocks = [(v, 0.0) for v in range(n)]     # (top vertex, its age)
@@ -417,8 +456,7 @@ def coalescent_tree(spec: CoalescentSpec, seed) -> CoalescentTree:
     t = 0.0
     while len(blocks) >= 2:
         b = len(blocks)
-        weights = np.array([math.comb(b, k) * merge_rate(spec, k, b)
-                            for k in range(2, b + 1)])
+        weights = _merge_weights(spec, b)
         total = float(weights.sum())
         if not (total > 0 and math.isfinite(total)):
             raise FamilyError(f"total merge rate {total} with {b} blocks")

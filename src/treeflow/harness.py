@@ -43,7 +43,6 @@ from .measures import (
     tree_metric,
 )
 from .tree import (
-    MeasureError,
     RootedMetricTree,
     SpeedMeasure,
     branch_closure,
@@ -176,6 +175,11 @@ class ExperimentConfig:
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError("output_dir: must be a nonempty path")
         self._check_family_values()
+        # trend records read the gaps in n_list order; one size has no trend
+        n_list = list(self.n_list)
+        if self.experiment in _EXACT and (len(n_list) < 2 or n_list != sorted(n_list)):
+            raise ConfigError(f"n_list: must hold at least two sizes in strictly increasing "
+                              f"order for experiment {self.experiment!r}, got {n_list!r}")
 
     def _check_family_values(self):
         family = self.family
@@ -785,27 +789,10 @@ def stone_level(n: int):
 
 def _stone_ray(tree: RootedMetricTree) -> RootedMetricTree:
     """The root and ray 1 of a stone_level tree, vertices 0..2K + 1 with
-    their edges: the space that _stone_fold folds onto."""
+    their edges: the space that the lumped chains live on."""
     m = (tree.n - 1) // 2
     return build_tree(tree.parent[:m + 1], tree.edge_length[:m + 1],
                       root=tree.root)
-
-
-def _stone_fold(measure: SpeedMeasure) -> SpeedMeasure:
-    """An even measure on a stone_level tree folded onto _stone_ray, carrying
-    m(0) at the root and m(x) + m(-x) at x; raises MeasureError unless the
-    measure is even bit for bit.
-
-    A symmetric optimal f exists for the KR dual, and a coupling on the ray
-    lifts to both rays at the same distances, so KR, Prohorov and Hausdorff
-    between even measures read the same on the ray.  Ball masses change, so
-    the mass floor stays on the unfolded measure.
-    """
-    m = (len(measure) - 1) // 2
-    ray, mirror = measure.masses[1:m + 1], measure.masses[m + 1:]
-    if not np.array_equal(ray, mirror):
-        raise MeasureError("stone measure is not even under x -> -x")
-    return SpeedMeasure(np.concatenate((measure.masses[:1], ray + mirror)))
 
 
 def _stone_reference_ids(n: int, ref: int) -> np.ndarray:
@@ -849,18 +836,25 @@ def _spearman(x, y) -> float:
     return float(np.corrcoef(np.column_stack(ranks), rowvar=False)[1, 0])
 
 
-def _law_distances(check_id, times, levels, ref_laws, dist, seed_label):
-    """KR gap of each level's law to the reference law at every time.
+def _law_distances(check_id, times, reference, levels, dist, seed_label):
+    """KR gap of each level's root law to the reference law at every time.
 
-    ``levels`` yields (n, laws, columns): the level's law at each time and
-    the cells its distances.csv rows carry after n, time and kr.  Returns
-    those rows and, per time, one strict-decrease and one rank-trend record
-    of the gaps across the levels.
+    ``levels`` yields (n, chain, ids, cells): the level's chain, the vertex
+    id that carries the atom of each of its states, and the cells its
+    distances.csv rows carry after n, time and kr.  ``reference`` is a
+    chain with its ids, or one law per time.  This is the one place where
+    a level's root laws are taken (_root_laws).  Returns the rows and, per
+    time, one strict-decrease and one rank-trend record of the gaps across
+    the levels, which ExperimentConfig orders by increasing n.
     """
+    if isinstance(reference[0], WalkChain):
+        chain, ids = reference
+        reference = _root_laws(chain, times, ids)
     rows, n_list, gaps = [], [], []
-    for n, laws, columns in levels:
-        kr = [kr_distance(law, ref, dist) for law, ref in zip(laws, ref_laws)]
-        rows += [{"n": n, "time": float(t), "kr": v, **columns}
+    for n, chain, ids, cells in levels:
+        laws = _root_laws(chain, times, ids)
+        kr = [kr_distance(law, ref, dist) for law, ref in zip(laws, reference)]
+        rows += [{"n": n, "time": float(t), "kr": v, **cells}
                  for t, v in zip(times, kr)]
         n_list.append(n)
         gaps.append(kr)
@@ -882,48 +876,47 @@ def _law_distances(check_id, times, levels, ref_laws, dist, seed_label):
 
 
 # The convergence runs (stone, fdd, crt) share one pipeline, _law_distances:
-# each builds its levels' exact one-time laws at the root and a reference
-# law per time, and _law_distances measures every (level, time) gap and the
-# trend records.  Laws are exact, so each run is fully deterministic; the
-# trend records check that distances shrink as levels refine, which is a
+# each builds its levels' chains and a reference, and _law_distances takes
+# every root law and measures every (level, time) gap and the trend
+# records.  Laws are exact, so each run is fully deterministic; the trend
+# records check that distances shrink as levels refine, which is a
 # qualitative diagnostic rather than a proof of convergence.
 
 def run_stone(config: ExperimentConfig) -> RunArtifacts:
     """Stone's geometric lattices at each n against a finer reference level.
 
-    Every root law, the reference's and each level's, comes from the
-    lattice's chain lumped over x -> -x (stone_level), so it is already
-    folded onto the root and ray 1.  A level's atoms and masses sit on their
-    reference-lattice twins, and the spaces rows compare its pushed measure
-    with the reference measure.  Laws and measures are even, so every
-    distance runs on the root and one ray of the reference lattice
-    (_stone_ray, _stone_fold); only m_delta reads the unfolded measures.
+    Every chain, the reference's and each level's, is the lattice's chain
+    lumped over x -> -x (stone_level): its root laws are folded onto the
+    root and ray 1, and its masses are the folded measure.  A level's atoms
+    and masses sit on their reference-lattice twins.  Laws and measures are
+    even, so every distance runs on the root and one ray of the reference
+    lattice (_stone_ray); only m_delta reads the unfolded measures.
     """
     ref_level = int(config.family.get("reference_level", 2 * max(config.n_list)))
     delta = 0.25                  # ball radius of the spaces rows' mass floor
-    times = config.times
-    ref_tree, ref_measure, ref_half = stone_level(ref_level)
+    ref_tree, _, ref_half = stone_level(ref_level)
     ray_tree = _stone_ray(ref_tree)
-    ref_laws = _root_laws(ref_half, times, range(ray_tree.n))
     levels = []
     folded, pushed = [], []
     for n in config.n_list:
         _, measure, half = stone_level(n)
         ids = _stone_reference_ids(n, ref_level)
         # atoms sit on their reference-lattice twins, so shared ones merge
-        laws = _root_laws(half, times, ids[:half.n_states].tolist())
-        levels.append((n, laws, {"reference_level": ref_level}))
+        ray_ids = ids[:half.n_states].tolist()
+        levels.append((n, half, ray_ids, {"reference_level": ref_level}))
+        folded.append((f"n={n}", SpeedMeasure(
+            np.bincount(ray_ids, half.mass, minlength=ray_tree.n))))
         masses = np.zeros(ref_tree.n)
         np.add.at(masses, ids, measure.masses)
         pushed.append(SpeedMeasure(masses))
-        folded.append((f"n={n}", _stone_fold(pushed[-1])))
-    rows, records = _law_distances("stone", times, levels, ref_laws,
+    rows, records = _law_distances("stone", config.times,
+                                   (ref_half, range(ray_tree.n)), levels,
                                    tree_metric(ray_tree), "deterministic")
     # radii off the lattice: no vertex height is 2^STONE_SPAN * 0.3 or 0.6,
     # so the boundary-tie flag stays quiet.  The lattice is a path, so
     # Prohorov runs on its sweep and m_delta on its prefix sums.
     radii = [0.3 * 2.0 ** STONE_SPAN, 0.6 * 2.0 ** STONE_SPAN]
-    spaces = gh_vague_report(ray_tree, _stone_fold(ref_measure), folded,
+    spaces = gh_vague_report(ray_tree, SpeedMeasure(ref_half.mass), folded,
                              radii, delta, floor_on=(ref_tree, pushed))
     return RunArtifacts(records, {"distances": rows,
                                   "spaces": _spaces_table(spaces)})
@@ -945,31 +938,31 @@ def run_fdd(config: ExperimentConfig) -> RunArtifacts:
     for n in config.n_list:
         measure = SpeedMeasure([1.0, 1.0 / n])
         chain = build_chain(tree, measure)
-        laws = _root_laws(chain, times, range(tree.n))
         joint_kr = ""
         if len(times) >= 2:
-            # Markov property gives the exact two-time joint law
-            gap = exact.transition_laws(chain, chain.states,
-                                        (times[1] - times[0],))[0]
+            # Markov property gives the exact two-time joint law; the root
+            # (state 0) row at times[0] is the level's first root law
+            first, gap = exact.transition_laws(
+                chain, chain.states, (times[0], times[1] - times[0]))
             # both vertices carry mass, so vertex ids are state indices
             joint = FiniteAtomMeasure.from_dict(
                 {(a, b): w * gap[a, b]
-                 for a, w in zip(laws[0].points, laws[0].weights)
-                 for b in range(tree.n)})
+                 for a, w in enumerate(first[0]) for b in range(tree.n)})
             joint_kr = kr_distance(joint, FiniteAtomMeasure(((0, 0),), (1.0,)),
                                    pair_dist)
         m_delta = lower_mass(tree, measure, 0.5)
         flagged = m_delta < floor
-        levels.append((n, laws, {"joint_kr": joint_kr, "m_delta": m_delta,
-                                 "flagged": int(flagged)}))
+        levels.append((n, chain, range(tree.n),
+                       {"joint_kr": joint_kr, "m_delta": m_delta,
+                        "flagged": int(flagged)}))
         records.append(CheckRecord(
             "fdd/mass-floor", f"n={n}",
             _instance_hash({"check": "fdd", "n": n}),
             m_delta, floor, 0.0,
             flagged == (n > 1.0 / floor), "deterministic"))
-    rows, trend = _law_distances("fdd", times, levels,
+    rows, trend = _law_distances("fdd", times,
                                  [FiniteAtomMeasure((0,), (1.0,))] * len(times),
-                                 dist, "deterministic")
+                                 levels, dist, "deterministic")
     records += trend
     # the flag must actually fire at the finest level
     finest = max(config.n_list)
@@ -990,7 +983,6 @@ def run_crt(config: ExperimentConfig) -> RunArtifacts:
     from .families import Excursion, glue_excursion, lattice_excursion
 
     knots = int(config.family.get("knots", 256))
-    times = config.times
     w = lattice_excursion(knots // 2, _spawn(config.master_seed, 11))
     scale = 1.0 / math.sqrt(len(w))
     glued = glue_excursion(Excursion(w * scale, step=1.0 / len(w)))
@@ -999,18 +991,17 @@ def run_crt(config: ExperimentConfig) -> RunArtifacts:
     diam = ambient.diameter()
     delta = 0.1 * diam            # ball radius of the spaces rows' mass floor
     ids = range(ambient.n)
-    ref_laws = _root_laws(build_chain(ambient, ambient_measure), times, ids)
     levels = []
     approximations = []
     for n in config.n_list:
         eps = diam / n
         disc = discretize(ambient, ambient_measure, eps)
         chain = build_chain(ambient, disc.pushforward)
-        levels.append((n, _root_laws(chain, times, ids),
-                       {"eps": eps, "states": chain.n_states}))
+        levels.append((n, chain, ids, {"eps": eps, "states": chain.n_states}))
         approximations.append((f"n={n}", disc.pushforward))
-    rows, records = _law_distances("crt", times, levels, ref_laws, dist,
-                                   _seed_label(config.master_seed, 11))
+    rows, records = _law_distances(
+        "crt", config.times, (build_chain(ambient, ambient_measure), ids),
+        levels, dist, _seed_label(config.master_seed, 11))
     radii = [(math.floor(diam / (k * scale)) + 0.5) * scale for k in (4, 2)]
     spaces = gh_vague_report(ambient, ambient_measure, approximations, radii,
                              delta)

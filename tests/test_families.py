@@ -12,6 +12,7 @@ from treeflow.families import (
     Excursion,
     FamilyError,
     OffspringLaw,
+    _merge_weights,
     binary_tree,
     coalescent_speed_measure,
     coalescent_tree,
@@ -380,6 +381,42 @@ class TestCoalescent:
         assert merge_rate(spec, 2, 2) == pytest.approx(2.0 + 0.5)
         assert merge_rate(spec, 2, 3) == pytest.approx(2.0 * 0.5)
         assert merge_rate(spec, 3, 3) == pytest.approx(2.0 * 0.5 + 0.5)
+
+    @pytest.mark.parametrize("spec", [
+        CoalescentSpec.beta(5, 1.0, 1.0),
+        CoalescentSpec.beta(5, 1.7, 0.6),
+        CoalescentSpec.point_masses(5, [(0.6, 2.0)]),
+        CoalescentSpec.point_masses(5, [(0.3, 1.0), (0.8, 2.0), (1.0, 0.5)])])
+    def test_log_space_weights_match_the_exact_products(self, spec):
+        # comb(b, k) * merge_rate overflows from b = 1,030; below that it is
+        # finite.  A rate that underflows to a subnormal keeps only a few
+        # bits, so the comparison takes the rates that are normal floats.
+        for b in [*range(2, 40), *range(40, 1030, 71), 1029]:
+            got = _merge_weights(spec, b)
+            want = np.array([math.comb(b, k) * merge_rate(spec, k, b)
+                             for k in range(2, b + 1)])
+            rates = np.array([merge_rate(spec, k, b) for k in range(2, b + 1)])
+            ok = rates >= np.finfo(float).tiny
+            assert ok.sum() >= min(b - 1, 30)
+            assert np.all(np.abs(got[ok] - want[ok]) <= 1e-12 * want[ok]), b
+
+    def test_weights_with_one_nonzero_rate_are_exact(self):
+        for b in (2, 3, 10, 1029):
+            for spec in (CoalescentSpec.kingman(b),
+                         CoalescentSpec.point_masses(b, [(1.0, 3.0)])):
+                want = [float(math.comb(b, k) * merge_rate(spec, k, b))
+                        for k in range(2, b + 1)]
+                assert _merge_weights(spec, b).tolist() == want
+
+    @pytest.mark.parametrize("spec", [
+        CoalescentSpec.kingman(1030),
+        CoalescentSpec.beta(1030, 1.0, 1.0),
+        CoalescentSpec.point_masses(1030, [(0.5, 1.0)])])
+    def test_genealogy_at_1030_leaves(self, spec):
+        ct = coalescent_tree(spec, seed=3)
+        depth = ct.tree.height[:1030]
+        assert ct.tree.n > 1030 and np.ptp(depth) <= 1e-9 * depth[0]
+        assert depth[0] == pytest.approx(ct.events[-1][0] / 2.0, rel=1e-12)
 
     def test_cherry(self):
         ct = coalescent_tree(CoalescentSpec.kingman(2), seed=4)

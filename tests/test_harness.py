@@ -28,7 +28,6 @@ from treeflow.harness import (
     RunArtifacts,
     _mc_record,
     _root_laws,
-    _stone_fold,
     _stone_ray,
     _stone_reference_ids,
     _write,
@@ -51,7 +50,7 @@ from treeflow.measures import (
     kr_distance,
     tree_metric,
 )
-from treeflow.tree import MeasureError, SpeedMeasure, lower_mass
+from treeflow.tree import SpeedMeasure, lower_mass
 from treeflow.walk import ChainError, build_chain, lockstep_ensemble
 from conftest import path_tree
 
@@ -266,24 +265,17 @@ class TestStoneLumping:
             pushed = SpeedMeasure(pushed)
             plain = gh_vague_report(ref_tree, ref_measure, [("x", pushed)],
                                     radii, delta)
-            folded = gh_vague_report(ray_tree, _stone_fold(ref_measure),
-                                     [("x", _stone_fold(pushed))], radii, delta,
+            # the half chains' masses, placed at their ray ids
+            on_ray = np.bincount(ids[:half.n_states], half.mass,
+                                 minlength=ray_tree.n)
+            folded = gh_vague_report(ray_tree, SpeedMeasure(ref_half.mass),
+                                     [("x", SpeedMeasure(on_ray))], radii, delta,
                                      floor_on=(ref_tree, [pushed]))
             for p, f in zip(plain, folded):
                 assert f.hausdorff == p.hausdorff and f.m_delta == p.m_delta
                 assert f.flagged == p.flagged
                 assert abs(f.kr - p.kr) <= 1e-9
                 assert abs(f.prohorov - p.prohorov) <= 1e-9
-
-    def test_fold_rejects_an_uneven_measure(self):
-        tree, measure, _ = stone_level(2)
-        folded = _stone_fold(measure)
-        m = (tree.n - 1) // 2
-        assert np.array_equal(folded.masses[1:], 2.0 * measure.masses[1:m + 1])
-        masses = measure.masses.copy()
-        masses[-1] = np.nextafter(masses[-1], 1.0)
-        with pytest.raises(MeasureError, match="not even"):
-            _stone_fold(SpeedMeasure(masses))
 
     def test_mass_floor_sums_few_centres_at_level_1024(self, monkeypatch):
         tree, measure, _ = stone_level(1024)
@@ -336,12 +328,35 @@ class TestTrend:
     def test_constant_input_is_no_trend(self):
         assert harness._spearman([2, 8, 32], [0.5, 0.5, 0.5]) == 0.0
         assert harness._spearman([4, 4, 4], [0.1, 0.2, 0.3]) == 0.0
-        mu = FiniteAtomMeasure((0.0, 1.0), (0.5, 0.5))
-        levels = [(n, [mu], {}) for n in (2, 8, 32)]
-        _, records = harness._law_distances(
-            "x", (1.0,), levels, [mu], lambda p, q: abs(p - q), "s")
+        # one chain at every level gives the same gap at every n
+        tree = path_tree([1.0, 2.0])
+        chain = build_chain(tree, SpeedMeasure([0.5, 1.0, 0.7]))
+        levels = [(n, chain, range(tree.n), {}) for n in (2, 8, 32)]
+        rows, records = harness._law_distances(
+            "x", (1.0,), [FiniteAtomMeasure((0,), (1.0,))], levels,
+            tree_metric(tree), "s")
+        assert len({r["kr"] for r in rows}) == 1 and rows[0]["kr"] > 0
         trend = [(r.statistic, r.passed) for r in records if r.check_id == "x/trend"]
         assert trend == [(0.0, False)]
+
+    def test_chain_reference_matches_its_root_laws(self):
+        times = (0.25, 1.0)
+        _, _, ref_half = stone_level(8)
+        ray_ids = range(ref_half.n_states)
+        levels = []
+        for n in (2, 4):
+            _, _, half = stone_level(n)
+            levels.append((n, half,
+                           _stone_reference_ids(n, 8)[:half.n_states].tolist(),
+                           {"c": n}))
+        dist = tree_metric(ref_half.tree)
+        by_chain = harness._law_distances("x", times, (ref_half, ray_ids),
+                                          levels, dist, "s")
+        by_laws = harness._law_distances("x", times,
+                                         _root_laws(ref_half, times, ray_ids),
+                                         levels, dist, "s")
+        assert by_chain == by_laws
+        assert [r["c"] for r in by_chain[0]] == [2, 2, 4, 4]
 
 
 def exceedance(chain, start, eps, horizon, seed, reps):
@@ -1026,6 +1041,16 @@ class TestCLI:
          "replicates: must be 1 for experiment 'stone'"),
         ("crt", {"replicates": 2}, "replicates: must be 1 for experiment 'crt'"),
         ("fdd", {"replicates": 10}, "replicates: must be 1 for experiment 'fdd'"),
+        # the trend records of the exact runs read their gaps in n_list order
+        ("stone", {"n_list": [32, 8]},
+         "n_list: must hold at least two sizes in strictly increasing order"),
+        ("fdd", {"n_list": [128, 32, 8, 2]},
+         "n_list: must hold at least two sizes in strictly increasing order"),
+        ("crt", {"n_list": [16, 8, 4]},
+         "n_list: must hold at least two sizes in strictly increasing order"),
+        ("crt", {"n_list": [4, 16, 8]}, "n_list: must hold at least two sizes"),
+        ("stone", {"n_list": [8]}, "n_list: must hold at least two sizes"),
+        ("fdd", {"n_list": [2]}, "for experiment 'fdd', got [2]"),
     ])
     def test_bad_size_exits_two_before_writing(self, tmp_path, capsys,
                                                experiment, overrides, key):

@@ -142,6 +142,8 @@ KEPT_PUBLIC = {
     "excursion_distance": "the pseudo-distance straight from the definition, "
                           "the oracle of the gluing tests",
     "load_tree": "reads the .tree files that kesten and coalescent runs write",
+    "merge_rate": "the merge rate by its definition, the oracle of the "
+                  "log-space weights that coalescent_tree draws from",
     "restrict": "the sampler-locality test restricts trees to a ball with it",
 }
 
