@@ -9,10 +9,9 @@ lowest-common-ancestor arithmetic:
     d(x, y) = height[x] + height[y] - 2 * height[lca(x, y)]
 
 One Euler-tour table with a sparse range-minimum index (built on the first
-query) answers every meet in O(1).  The same table serves the scalar
-``lca(x, y)`` / ``distance(x, y)`` on two vertex ids and their batched
-forms on id arrays, which broadcast like numpy and keep the operand order
-above, so a batched distance equals the scalar one bit for bit.
+query) answers every meet in O(1).  Every query takes vertex ids or id
+arrays, which broadcast like numpy; two ids give a Python scalar, so an
+entry of a batched distance equals the distance of its pair bit for bit.
 ``distance_block`` evaluates a whole xs-by-ys block a bounded number of
 pairs at a time.
 
@@ -38,8 +37,6 @@ FLOAT_SLACK = 1e-12
 # vertex pairs per batched distance block: bounds the temporaries of one block
 PAIR_BLOCK = 1 << 16
 
-_INTEGER = (int, np.integer)
-
 
 class TreeError(ValueError):
     """Structurally invalid tree or malformed geometric query."""
@@ -47,6 +44,11 @@ class TreeError(ValueError):
 
 class MeasureError(ValueError):
     """Invalid mass assignment."""
+
+
+def _scalar(result):
+    """A 0-d query result as a Python int, float or bool; arrays pass through."""
+    return result.item() if result.ndim == 0 else result
 
 
 def _as_int(v, what="vertex"):
@@ -66,7 +68,8 @@ class _EulerTable:
     ``depth << bits | vertex``, so a minimum carries its vertex, read back
     with ``& mask``.  Rows are stored flat: for a range of length s from lo
     to hi, the two windows sit at ``lo_offset[s] + lo`` and
-    ``hi_offset[s] + hi``.  O(n log n) to build, O(1) per query.
+    ``hi_offset[s] + hi``.  O(n log n) to build; :meth:`meets` answers id
+    arrays, O(1) per pair.
 
     The tour is read off the tree's preorder in O(n), with no walk of its
     own: v is first visited at ``first[v] = 2 pre[v] - depth[v]`` (pre its
@@ -104,20 +107,6 @@ class _EulerTable:
         self.hi_offset = level * m + 1 - np.left_shift(1, level)
         self.first = first
         self.last = last
-        # plain lists serve the scalar queries without numpy scalar overhead
-        self.first_list = first.tolist()
-        self.heights = tree.height.tolist()
-
-    def meet(self, x: int, y: int) -> int:
-        """lca of two valid vertex ids."""
-        i, j = self.first_list[x], self.first_list[y]
-        if i > j:
-            i, j = j, i
-        k = (j - i + 1).bit_length() - 1
-        base = k * self.width
-        a = self.keys.item(base + i)
-        b = self.keys.item(base + j + 1 - (1 << k))
-        return (a if a < b else b) & self.mask
 
     def meets(self, xs, ys) -> np.ndarray:
         """lca of valid vertex id arrays (or a full slice), broadcast."""
@@ -154,7 +143,6 @@ class RootedMetricTree:
         np.cumsum(np.bincount(key[self._kids], minlength=n),
                   out=self._kid_start[1:])
         self.order, self.depth, self.height, self.size = self._preorder()
-        self._euler: Optional[_EulerTable] = None
         for arr in (self.parent, self.edge_length, self.order, self.depth,
                     self.height, self.size, self._kids, self._kid_start):
             arr.setflags(write=False)
@@ -185,10 +173,10 @@ class RootedMetricTree:
         return (np.array(order, dtype=np.int64), np.array(depth, dtype=np.int64),
                 np.array(height, dtype=np.float64), np.array(size, dtype=np.int64))
 
-    def _tables(self) -> "_EulerTable":
-        if self._euler is None:
-            self._euler = _EulerTable(self)
-        return self._euler
+    @functools.cached_property
+    def _euler(self) -> _EulerTable:
+        """The Euler table, built on the first query and kept."""
+        return _EulerTable(self)
 
     @functools.cached_property
     def _path_positions(self) -> Optional[np.ndarray]:
@@ -211,23 +199,17 @@ class RootedMetricTree:
         if arr.size == 0:
             return arr.astype(np.int64)
         if arr.dtype.kind not in "iu":
-            raise TreeError(f"vertex ids must be integers, got dtype {arr.dtype}")
+            raise TreeError(f"vertex ids must be integers, got {arr.flat[0]} "
+                            f"(dtype {arr.dtype})")
         bad = (arr < 0) | (arr >= self.n)
         if bad.any():
             raise TreeError(f"vertex {arr[bad].flat[0]} outside vertex range "
                             f"0..{self.n - 1}")
         return arr.astype(np.int64, copy=False)
 
-    def _lca_scalar(self, x: int, y: int) -> int:
-        n = self.n
-        if not (0 <= x < n and 0 <= y < n):
-            bad = y if 0 <= x < n else x
-            raise TreeError(f"vertex {bad} outside vertex range 0..{n - 1}")
-        return (self._euler or self._tables()).meet(x, y)
-
     def _distance_array(self, xs, ys) -> np.ndarray:
         h = self.height
-        return h[xs] + h[ys] - 2.0 * h[self._tables().meets(xs, ys)]
+        return h[xs] + h[ys] - 2.0 * h[self._euler.meets(xs, ys)]
 
     # -- basic queries ----------------------------------------------------
 
@@ -249,24 +231,19 @@ class RootedMetricTree:
     def lca(self, x, y):
         """Lowest common ancestor; O(1) after an O(n log n) table build.
 
-        Two vertex ids give an int.  Arrays (or an id and an array) give an
-        array of meets under numpy broadcasting.
+        Arrays (or an id and an array) give an array of meets under numpy
+        broadcasting; two vertex ids give an int.
         """
-        if isinstance(x, _INTEGER) and isinstance(y, _INTEGER):
-            return self._lca_scalar(x, y)
-        return self._tables().meets(self._vertex_array(x), self._vertex_array(y))
+        return _scalar(self._euler.meets(self._vertex_array(x),
+                                         self._vertex_array(y)))
 
     def distance(self, x, y):
         """d(x, y) = height[x] + height[y] - 2 * height[lca(x, y)].
 
-        Two vertex ids give a float; arrays broadcast like :meth:`lca` and
-        give an array with the same operand order, so both agree bit for bit.
+        Arrays broadcast like :meth:`lca`; two vertex ids give a float.
         """
-        if isinstance(x, _INTEGER) and isinstance(y, _INTEGER):
-            a = self._lca_scalar(x, y)
-            h = self._euler.heights   # built by the meet above
-            return h[x] + h[y] - 2.0 * h[a]
-        return self._distance_array(self._vertex_array(x), self._vertex_array(y))
+        return _scalar(self._distance_array(self._vertex_array(x),
+                                            self._vertex_array(y)))
 
     def distance_block(self, xs, ys) -> np.ndarray:
         """len(xs) x len(ys) array of d(x, y), rows computed PAIR_BLOCK pairs at a time."""
@@ -295,7 +272,7 @@ class RootedMetricTree:
         depth = self.depth
         best = np.where(depth[b] > depth[a], b, a)
         best = np.where(depth[c] > depth[best], c, best)
-        return best if best.ndim else int(best)
+        return _scalar(best)
 
     def on_segment(self, u, x, y):
         """Whether u lies on the segment [x, y], within ``GEOM_TOL``; an array
@@ -313,11 +290,8 @@ class RootedMetricTree:
 
     def distances_from(self, x: int) -> np.ndarray:
         """Distance from x to every vertex."""
-        x = int(x)
-        if not 0 <= x < self.n:
-            raise TreeError(f"vertex {x} outside vertex range 0..{self.n - 1}")
         # the full slice indexes every vertex without gathering
-        return self._distance_array(x, slice(None))
+        return self._distance_array(self._vertex_array(x), slice(None))
 
     def diameter(self) -> float:
         """Exact diameter via a double farthest-point sweep."""
@@ -534,7 +508,7 @@ def epsilon_degree(tree: RootedMetricTree, x: int, eps: float) -> int:
         raise TreeError("eps must be positive")
     d = tree.distances_from(x)
     in_ball = d < eps - FLOAT_SLACK
-    tables = tree._tables()
+    tables = tree._euler
     far = np.sort(tables.first[d >= 2 * eps - FLOAT_SLACK])
     kids = tree.order[1:]
     kid_in, parent_in = in_ball[kids], in_ball[tree.parent[kids]]
@@ -681,7 +655,7 @@ def _rooted_subset(tree: RootedMetricTree, subset) -> np.ndarray:
 def _euler_sorted(tree: RootedMetricTree, s: np.ndarray) -> np.ndarray:
     """Vertices of s in order of first visit; the meets of adjacent ones are
     all the pairwise meets (the virtual-tree construction)."""
-    first = tree._tables().first
+    first = tree._euler.first
     return s[np.argsort(first[s], kind="stable")]
 
 

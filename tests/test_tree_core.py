@@ -175,7 +175,6 @@ class TestPreorder:
             assert (tab.keys[:tab.width] & tab.mask).tolist() == want["tour"]
             assert tab.first.tolist() == want["first"]
             assert tab.last.tolist() == want["last"]
-            assert tab.first_list == want["first"]
 
 
 class TestDistance:
@@ -248,6 +247,26 @@ class TestBatchedKernel:
             t.distance(np.array([0, -1]), np.array([1, 2]))
         with pytest.raises(TreeError, match="integers"):
             t.distance(np.array([0.5]), np.array([1]))
+
+    def test_two_ids_give_python_scalars(self, rng):
+        t = random_tree(rng, 9)
+        for x, y in ((3, 7), (np.int64(3), np.int32(7))):
+            for got, kind in ((t.lca(x, y), int), (t.branch_point(x, y, 5), int),
+                              (t.distance(x, y), float),
+                              (t.on_segment(5, x, y), bool)):
+                assert type(got) is kind
+                assert "np." not in repr(got)
+
+    @pytest.mark.parametrize("bad, named", [(True, "True"), (2.0, "2.0"),
+                                            (9, "vertex 9"), (-2, "vertex -2")])
+    def test_bad_id_named_by_every_query(self, rng, bad, named):
+        t = random_tree(rng, 9)
+        queries = (lambda v: t.lca(v, 1), lambda v: t.distance(1, v),
+                   lambda v: t.branch_point(0, v, 1), lambda v: t.on_segment(v, 0, 1),
+                   t.distances_from)
+        for query in queries:
+            with pytest.raises(TreeError, match=named):
+                query(bad)
 
     def test_hausdorff_matches_double_loop(self, rng):
         for _ in range(5):
