@@ -318,6 +318,15 @@ def transition_laws(chain: WalkChain, starts, times) -> np.ndarray:
     divide-and-conquer eigh, O(n^3) time and O(n^2) memory.  Rounding
     negatives are clipped to zero and each row is renormalised to a
     distribution.  Inputs are checked as in heat_kernel.
+
+    The bits of a law do not depend on the BLAS thread count.  The
+    tridiagonal solver is LAPACK's MRRR routine (``stemr``); the default,
+    divide and conquer (``stevd``), calls threaded BLAS, and its vectors
+    round differently on one thread than on two.  Each row is formed
+    as ``einsum("ij,j->i", V, decay * V[x])``, a sum in fixed order, where a
+    BLAS matrix-vector product splits its rows across threads from about a
+    thousand states up.  Rows are formed one start at a time, so a row's
+    bits do not depend on which other starts share the call.
     """
     idx, tlist = _law_inputs(chain, starts, times)
     n = chain.n_states
@@ -334,14 +343,15 @@ def transition_laws(chain: WalkChain, starts, times) -> np.ndarray:
         evals, vecs = eigh(sym.toarray())
     else:
         evals, vecs = eigh_tridiagonal(sym.diagonal()[order],
-                                       sym[order[:-1], order[1:]].A1)
+                                       sym[order[:-1], order[1:]].A1,
+                                       lapack_driver="stemr")
     sqrt_m = np.sqrt(chain.mass[order])
     out = np.empty((len(tlist), len(idx), n))
     at = np.argsort(order)[idx]           # where the starts sit in order
     for j, t in enumerate(tlist):
         decay = np.exp(evals * t)
         for k, px in enumerate(at):
-            row = (vecs @ (decay * vecs[px])) * sqrt_m / sqrt_m[px]
+            row = np.einsum("ij,j->i", vecs, decay * vecs[px]) * sqrt_m / sqrt_m[px]
             row = np.clip(row, 0.0, None)
             out[j, k, order] = row / row.sum()
     return out
