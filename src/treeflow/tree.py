@@ -68,8 +68,7 @@ class _EulerTable:
     ``depth << bits | vertex``, so a minimum carries its vertex, read back
     with ``& mask``.  Rows are stored flat: for a range of length s from lo
     to hi, the two windows sit at ``lo_offset[s] + lo`` and
-    ``hi_offset[s] + hi``.  O(n log n) to build; :meth:`meets` answers id
-    arrays, O(1) per pair.
+    ``hi_offset[s] + hi``.  O(n log n) to build, O(1) per pair in :meth:`meets`.
 
     The tour is read off the tree's preorder in O(n), with no walk of its
     own: v is first visited at ``first[v] = 2 pre[v] - depth[v]`` (pre its
